@@ -48,7 +48,7 @@ from .partitions import (
 )
 from .skew import positivity_diff, skew_expand
 from .tableaux import lr_coefficient
-from .verify import SUITES, worker_count
+from .verify import SUITES, WorkerCountError, worker_count
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -472,7 +472,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         code = args.func(args)
-    except PartitionParseError as exc:
+    except (PartitionParseError, WorkerCountError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except DomainError as exc:

@@ -11,6 +11,10 @@ from typing import Iterable, Iterator, NamedTuple
 
 Partition = tuple[int, ...]
 
+# parse_partition refuses text that spells out more parts than this, so that
+# an exponent such as "3^99999999999" fails before anything is allocated
+MAX_PARTS = 1_000_000
+
 
 class DomainError(ValueError):
     """An argument violates the stated domain of an operation."""
@@ -151,7 +155,10 @@ def skew_shape(outer: Partition, inner: Partition) -> SkewShape:
 
 
 def parse_partition(text: str) -> Partition:
-    """Parse "6,4,4,1" or exponent form "3^2,1"; "" is the empty partition."""
+    """Parse "6,4,4,1" or exponent form "3^2,1"; "" is the empty partition.
+
+    At most MAX_PARTS parts, zeros included, may be spelled out.
+    """
     text = text.strip()
     if not text:
         return ()
@@ -168,6 +175,8 @@ def parse_partition(text: str) -> Partition:
             raise PartitionParseError(f"bad component {token!r} in {text!r}") from None
         if value < 0 or mult < 0:
             raise PartitionParseError(f"negative values in {token!r}")
+        if mult > MAX_PARTS - len(parts):
+            raise PartitionParseError(f"more than {MAX_PARTS} parts in {text!r}")
         parts.extend([value] * mult)
     while parts and parts[-1] == 0:
         parts.pop()

@@ -5,6 +5,19 @@ row first), which makes the lattice condition a prefix property: a value v may
 be placed only while #(v-1)'s + alpha_{v-1} stays >= #v's + alpha_v.  The
 running tallies count[v] + alpha_v are kept in ``profile``, which therefore
 stays weakly decreasing and, at a leaf, *is* the partition type + alpha.
+
+Expand mode merges equal fill states before the tail: the shortest run of
+whole last skew rows that holds at least 3 cells (the last row alone when it
+is that long).  How the tail can be filled depends only on the values of the
+row above it over its first row's columns and on the profile, so many paths
+share one state.  The walk counts the paths per state at the first cell of
+the tail and fills the tail once per state, weighting each tableau it
+reaches by the count.  Letting the tail span several short rows, instead of
+merging only before a long last row, gives shapes with short bottom rows the
+same gain.  The Kronecker check (rows 1 and 2 settled) must already have run
+by then, so shapes whose check runs inside the tail, and capped walks, whose
+stopping bucket depends on the visiting order, keep the plain per-tableau
+walk; so do shapes whose tail would be the whole shape.
 """
 
 from __future__ import annotations
@@ -194,7 +207,18 @@ def _expand_fillings(
     nu is the filling's type plus alpha, always a partition because the full
     reading word satisfies the lattice inequalities.  With kron=True only
     Kronecker tableaux are counted.  If cap is given, CapReached is raised as
-    soon as any bucket in ``out`` reaches it.
+    soon as any bucket in ``out`` reaches it, with the fillings visited one by
+    one in reverse reading order.
+
+    Without a cap, the tail is the shortest run of whole last skew rows with
+    at least 3 cells.  When it starts below the first row and the Kronecker
+    check runs before it, the walk stops at the tail's first cell and counts
+    the paths sharing each fill state: the row above's values over the
+    tail's first row's columns, and profile[1..vmax].  It then fills the tail
+    once per state, adding that count to every bucket it reaches.  This is
+    exact because nothing else bounds the tail's entries (a tail cell's
+    filled neighbours above and to the right lie in the tail or in that row
+    above), its lattice tests or the final type.
     """
     meta, index = _cells(outer, inner)
     ncells = len(meta)
@@ -210,6 +234,17 @@ def _expand_fillings(
     )
     twos_row1 = 0
     vmax = la
+    stop = ncells
+    if cap is None:
+        # the tail's first cell: back up to a row start with >= 3 cells after it
+        first = ncells
+        while first > 0 and (ncells - first < 3 or meta[first - 1][2] == meta[first][2]):
+            first -= 1
+        if first > 0 and check_at <= first:
+            stop = first
+    aboves = [meta[k][0] for k in range(stop, ncells) if 0 <= meta[k][0] < stop]
+    states: dict[tuple, int] = {}
+    weight = 1
 
     def rec(k: int) -> None:
         nonlocal twos_row1, vmax
@@ -217,9 +252,13 @@ def _expand_fillings(
             (slot2 >= 0 and vals[slot2] == 1) or twos_row1 == gap
         ):
             return
-        if k == ncells:
+        if k == stop:
+            if k < ncells:
+                key = (tuple([vals[a] for a in aboves]), tuple(profile[1 : vmax + 1]))
+                states[key] = states.get(key, 0) + 1
+                return
             nu = tuple(profile[1 : vmax + 1])
-            c = buckets.get(nu, 0) + 1
+            c = buckets.get(nu, 0) + weight
             buckets[nu] = c
             if cap is not None and c >= cap:
                 raise CapReached(nu)
@@ -244,6 +283,18 @@ def _expand_fillings(
             profile[v] -= 1
 
     rec(0)
+    if stop < ncells:
+        stop, check_at = ncells, -1
+        width = len(profile) - 1
+        for (above_vals, prof), weight in states.items():
+            for a, v in zip(aboves, above_vals):
+                vals[a] = v
+            vmax = len(prof)
+            profile[1:] = prof + (0,) * (width - vmax)
+            rec(first)
+        # rec refers to itself, so this frame's cells live until a full
+        # collection; drop the table now rather than with them
+        states.clear()
     return buckets
 
 

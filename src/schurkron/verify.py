@@ -1,8 +1,9 @@
 """Cross-module verification grids for the CLI ``verify`` subcommand.
 
 Each suite returns (cases checked, list of mismatch strings).  Cases fan out
-over a process pool when SCHURKRON_WORKERS (default: cpu count) is above 1;
-results are reduced in task order so output is identical either way.
+over a process pool when SCHURKRON_WORKERS (default: cpu count, clamped to
+[1, cpu count]) is above 1; results are reduced in task order so output is
+identical either way.
 """
 
 from __future__ import annotations
@@ -26,11 +27,22 @@ from .oracle import (
 from .partitions import Partition, enumerate_partitions, part
 
 
+class WorkerCountError(ValueError):
+    """SCHURKRON_WORKERS is set but is not an integer."""
+
+
 def worker_count() -> int:
+    cpus = os.cpu_count() or 1
     env = os.environ.get("SCHURKRON_WORKERS", "").strip()
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return cpus
+    try:
+        requested = int(env)
+    except ValueError:
+        raise WorkerCountError(
+            f"SCHURKRON_WORKERS must be an integer, got {env!r}"
+        ) from None
+    return min(max(1, requested), cpus)
 
 
 def _run(fn: Callable, tasks: list) -> list:

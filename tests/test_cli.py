@@ -1,8 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
+import pytest
+
 from schurkron.cli import main
+from schurkron.verify import WorkerCountError, worker_count
 
 EXE = [sys.executable, "-m", "schurkron.cli"]
 
@@ -64,6 +68,11 @@ class TestKronCommand:
         assert rc == 2
         rc, _, _ = run_cli("kron", "6", "1", "1,3")
         assert rc == 2
+
+    def test_oversized_exponent_is_parse_error(self):
+        rc, out, err = run_cli("kron", "6", "1", "3^99999999999")
+        assert (rc, out) == (2, "")
+        assert "parts" in err and "Traceback" not in err
 
     def test_domain_error_exit_3(self):
         rc, _, _ = run_cli("kron", "5", "3", "4,1")
@@ -177,10 +186,33 @@ class TestDeterminism:
                 capture_output=True,
                 text=True,
                 timeout=300,
-                env={"SCHURKRON_WORKERS": workers, "PATH": "/usr/bin:/bin"},
+                env={**os.environ, "SCHURKRON_WORKERS": workers},
             )
             results.append((proc.returncode, proc.stdout))
         assert results[0] == results[1]
+        assert results[0][0] == 0 and "all equal" in results[0][1]
+
+    def test_non_integer_worker_count_exits_2(self):
+        proc = subprocess.run(
+            EXE + ["verify", "--grid", "6", "1"],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env={**os.environ, "SCHURKRON_WORKERS": "abc"},
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.count("\n") == 1 and "SCHURKRON_WORKERS" in proc.stderr
+
+    def test_worker_count_clamped_to_cpu_count(self, monkeypatch):
+        # only worker_count() is called: no pool of these sizes is started
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        for env, want in (("", 4), ("1", 1), ("3", 3), ("4", 4), ("1000000", 4),
+                          ("0", 1), ("-7", 1), (" 2 ", 2)):
+            monkeypatch.setenv("SCHURKRON_WORKERS", env)
+            assert worker_count() == want, env
+        monkeypatch.setenv("SCHURKRON_WORKERS", "2.5")
+        with pytest.raises(WorkerCountError):
+            worker_count()
 
 
 class TestMainEntry:

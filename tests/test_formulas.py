@@ -84,6 +84,22 @@ class TestMultiplicityFree:
             assert coeff >= 2
             assert kron_coeff(5, 2, (3, 1, 1), nu).value == coeff
 
+    def test_direct_witnesses_pinned(self):
+        # the first coefficient to reach 2 in the fill engine's reverse
+        # reading order; the CLI prints these witnesses
+        cases = {
+            (12, 3, (6, 4, 2)): ((8, 3, 1), 4),
+            (10, 3, (4, 3, 3)): ((6, 3, 1), 2),
+            (14, 3, (5, 4, 3, 2)): ((7, 4, 3), 4),
+            (16, 4, (6, 5, 3, 2)): ((9, 5, 2), 4),
+            (13, 4, (4, 4, 3, 2)): ((7, 4, 2), 3),
+        }
+        for (n, p, lam), witness in cases.items():
+            verdict = is_multiplicity_free(n, p, lam)
+            assert verdict.source == "direct_computation"
+            assert not verdict.multiplicity_free
+            assert verdict.witness == witness, (n, p, lam)
+
     def test_small_n_remark(self):
         # the p=2 classification holds vacuously at n=4 and gains two extra
         # multiplicity-free products at n=5

@@ -140,6 +140,14 @@ class TestConstructionAndText:
             with pytest.raises(PartitionParseError):
                 parse_partition(bad)
 
+    def test_parse_bounds_the_number_of_parts(self):
+        from schurkron.partitions import MAX_PARTS
+
+        assert len(parse_partition(f"2^{MAX_PARTS - 1},1")) == MAX_PARTS
+        for bad in (f"1^{MAX_PARTS + 1}", f"2^{MAX_PARTS},1", "3^99999999999", "0^99999999999"):
+            with pytest.raises(PartitionParseError):
+                parse_partition(bad)
+
     def test_format_round_trip(self):
         for lam in all_partitions_up_to(8):
             assert parse_partition(format_partition(lam)) == lam

@@ -1,10 +1,14 @@
 import itertools
 from collections import Counter
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from schurkron import (
     SkewShape,
     Tableau,
     conjugate,
+    contains,
     count_ssyt_alpha_lattice,
     enumerate_partitions,
     is_alpha_lattice,
@@ -14,6 +18,7 @@ from schurkron import (
     skew_shape,
     tableau_type,
 )
+from schurkron.tableaux import _count_fillings, _expand_fillings
 
 FIG1 = Tableau(
     skew_shape((9, 5, 2, 1, 1), (3, 1)),
@@ -21,56 +26,49 @@ FIG1 = Tableau(
 )
 
 
-def brute_force_count(shape, type_counts, alpha):
-    """Independent oracle: try every filling of the skew cells and check the
-    SSYT, type, and lattice conditions from their definitions."""
+def brute_force_table(shape, alphas):
+    """Independent oracle: try every filling of the skew cells with values
+    1..#cells once, keep those that pass the SSYT conditions, and count them
+    by (type, alpha) for every alpha whose shifted lattice condition the
+    reverse reading word meets; each condition is checked from its
+    definition.  Covers every type with at most #cells values."""
     outer, inner = shape
     cells = []
     for r, end in enumerate(outer):
         start = inner[r] if r < len(inner) else 0
         cells.extend((r, c) for c in range(start, end))
-    counts = list(type_counts)
-    while counts and counts[-1] == 0:
-        counts.pop()
-    if sum(counts) != len(cells):
-        return 0
-    kmax = len(counts)
-    hits = 0
-    for values in itertools.product(range(1, kmax + 1), repeat=len(cells)):
-        grid = dict(zip(cells, values))
+    pos = {cell: i for i, cell in enumerate(cells)}
+    rights = [(pos[(r, c)], pos[(r, c + 1)]) for r, c in cells if (r, c + 1) in pos]
+    belows = [(pos[(r, c)], pos[(r + 1, c)]) for r, c in cells if (r + 1, c) in pos]
+    word_order = []
+    for r, end in enumerate(outer):
+        start = inner[r] if r < len(inner) else 0
+        word_order.extend(pos[(r, c)] for c in range(end - 1, start - 1, -1))
+    table = Counter()
+    for values in itertools.product(range(1, len(cells) + 1), repeat=len(cells)):
+        if any(values[j] < values[i] for i, j in rights):
+            continue
+        if any(values[j] <= values[i] for i, j in belows):
+            continue
         tally = Counter(values)
-        if any(tally.get(v + 1, 0) != c for v, c in enumerate(counts)):
-            continue
-        ok = True
-        for (r, c), v in grid.items():
-            right = grid.get((r, c + 1))
-            below = grid.get((r + 1, c))
-            if right is not None and right < v:
-                ok = False
-                break
-            if below is not None and below <= v:
-                ok = False
-                break
-        if not ok:
-            continue
-        word = []
-        for r, end in enumerate(outer):
-            start = inner[r] if r < len(inner) else 0
-            word.extend(grid[(r, c)] for c in range(end - 1, start - 1, -1))
-        prefix = Counter()
-        for v in word:
-            prefix[v] += 1
-            for i in range(1, max(prefix) + 1):
-                left = prefix.get(i, 0) + (alpha[i - 1] if i - 1 < len(alpha) else 0)
-                right_side = prefix.get(i + 1, 0) + (alpha[i] if i < len(alpha) else 0)
-                if left < right_side:
-                    ok = False
+        type_counts = tuple(tally.get(v, 0) for v in range(1, max(values, default=0) + 1))
+        word = [values[i] for i in word_order]
+        for alpha in alphas:
+            prefix = Counter()
+            ok = True
+            for v in word:
+                prefix[v] += 1
+                for i in range(1, max(prefix) + 1):
+                    left = prefix.get(i, 0) + (alpha[i - 1] if i - 1 < len(alpha) else 0)
+                    right_side = prefix.get(i + 1, 0) + (alpha[i] if i < len(alpha) else 0)
+                    if left < right_side:
+                        ok = False
+                        break
+                if not ok:
                     break
-            if not ok:
-                break
-        if ok:
-            hits += 1
-    return hits
+            if ok:
+                table[(type_counts, alpha)] += 1
+    return table
 
 
 class TestReadingWord:
@@ -129,7 +127,7 @@ class TestCountSsyt:
     def test_shifted_count_against_brute_force(self):
         shape = skew_shape((4, 3), (2, 1))
         got = count_ssyt_alpha_lattice(shape, (2, 1, 1), (2, 1))
-        assert got == brute_force_count(shape, (2, 1, 1), (2, 1))
+        assert got == brute_force_table(shape, [(2, 1)])[((2, 1, 1), (2, 1))]
         assert got >= 2
 
     def test_brute_force_equivalence_small_shapes(self):
@@ -145,12 +143,13 @@ class TestCountSsyt:
         checked = 0
         for outer, inner in shapes[::3]:  # thin the grid, keep it varied
             size = sum(outer) - sum(inner)
+            shape = SkewShape(outer, inner)
+            table = brute_force_table(shape, alphas)
             for type_counts in enumerate_partitions(size):
                 for alpha in alphas:
-                    shape = SkewShape(outer, inner)
                     assert count_ssyt_alpha_lattice(
                         shape, type_counts, alpha
-                    ) == brute_force_count(shape, type_counts, alpha)
+                    ) == table[(type_counts, alpha)]
                     checked += 1
         assert checked > 600
 
@@ -179,3 +178,78 @@ class TestLrCoefficient:
                             assert c == lr_coefficient(
                                 conjugate(lam), conjugate(mu), conjugate(nu)
                             )
+
+
+def _skew_rows(outer, inner):
+    rows = [end - (inner[r] if r < len(inner) else 0) for r, end in enumerate(outer)]
+    return [width for width in rows if width]
+
+
+def _merges(outer, inner):
+    """True when the shortest run of whole last skew rows with at least 3
+    cells leaves a row above it, the shape condition under which
+    _expand_fillings fills that tail once per distinct state."""
+    rows = _skew_rows(outer, inner)
+    tail = 0
+    while rows and tail < 3:
+        tail += rows.pop()
+    return tail >= 3 and bool(rows)
+
+
+def _assert_expand_matches_count(lam, alpha, kron):
+    got = _expand_fillings(lam, alpha, alpha, kron)
+    nus = [nu for nu in enumerate_partitions(sum(lam)) if contains(alpha, nu)]
+    assert set(got) <= set(nus)
+    for nu in nus:
+        counts = tuple(nu[i] - (alpha[i] if i < len(alpha) else 0) for i in range(len(nu)))
+        while counts and counts[-1] == 0:
+            counts = counts[:-1]
+        assert got.get(nu, 0) == _count_fillings(lam, alpha, counts, alpha, kron), (
+            lam, alpha, kron, nu,
+        )
+
+
+class TestExpandFillings:
+    """Expand mode against count mode, which walks each type separately and
+    never merges fill states."""
+
+    def test_matches_count_mode_small_shapes(self):
+        merged = 0
+        for n in range(13):
+            for lam in enumerate_partitions(n):
+                for p in range(5):
+                    for alpha in enumerate_partitions(p, inside=lam):
+                        merged += _merges(lam, alpha)
+                        for kron in (False, True):
+                            _assert_expand_matches_count(lam, alpha, kron)
+        assert merged > 250
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_count_mode_random_long_last_row(self, data):
+        # at least three rows so that several paths can share a fill state
+        parts = [data.draw(st.integers(3, 6))]
+        for _ in range(data.draw(st.integers(2, 4))):
+            parts.append(parts[-1] + data.draw(st.integers(0, 3)))
+        lam = tuple(reversed(parts))
+        assume(sum(lam) <= 20)
+        alphas = list(enumerate_partitions(data.draw(st.integers(0, 4)), inside=lam))
+        assume(alphas)
+        alpha = data.draw(st.sampled_from(alphas))
+        assume(_merges(lam, alpha))
+        _assert_expand_matches_count(lam, alpha, data.draw(st.booleans()))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_count_mode_random_short_bottom_rows(self, data):
+        # a last row of 1 or 2 cells, so the merged tail spans several rows
+        parts = [data.draw(st.integers(1, 2))]
+        for _ in range(data.draw(st.integers(3, 6))):
+            parts.append(parts[-1] + data.draw(st.integers(0, 2)))
+        lam = tuple(reversed(parts))
+        assume(sum(lam) <= 20)
+        alphas = list(enumerate_partitions(data.draw(st.integers(0, 4)), inside=lam))
+        assume(alphas)
+        alpha = data.draw(st.sampled_from(alphas))
+        assume(_merges(lam, alpha) and _skew_rows(lam, alpha)[-1] < 3)
+        _assert_expand_matches_count(lam, alpha, data.draw(st.booleans()))

@@ -13,7 +13,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .expansion import SchurExpansion
-from .kronecker import kron_coeff, kronecker_tableau_count
+from .kronecker import (
+    METHOD_CONJUGATE,
+    METHOD_ORACLE,
+    _route,
+    _tableau_sum,
+    kron_coeff,
+)
 from .partitions import (
     DomainError,
     Partition,
@@ -21,7 +27,6 @@ from .partitions import (
     add_box,
     conjugate,
     enumerate_partitions,
-    intersect,
     part,
     removable_rows,
     remove_box,
@@ -70,20 +75,15 @@ def _direct_mfree(n: int, p: int, lam: Partition) -> tuple[bool, tuple | None]:
 
     The witness coefficient is recounted exactly for the partition found.
     """
-    if part(lam, 1) >= 2 * p - 1 or len(lam) >= 2 * p - 1:
-        work = lam if part(lam, 1) >= 2 * p - 1 else conjugate(lam)
-        flip = work is not lam
+    method, work = _route(p, lam)
+    if method != METHOD_ORACLE:
         buckets: dict[Partition, int] = {}
         try:
             for alpha in enumerate_partitions(p, inside=work):
                 _expand_fillings(work, alpha, alpha, kron=True, out=buckets, cap=2)
         except CapReached as hit:
-            exact = sum(
-                kronecker_tableau_count(work, alpha, hit.nu)
-                for alpha in enumerate_partitions(p, inside=intersect(work, hit.nu))
-            )
-            witness_nu = conjugate(hit.nu) if flip else hit.nu
-            return False, (witness_nu, exact)
+            witness_nu = conjugate(hit.nu) if method == METHOD_CONJUGATE else hit.nu
+            return False, (witness_nu, _tableau_sum(work, hit.nu, p))
         return True, None
     from .oracle import oracle_tworow_signed_sum
 

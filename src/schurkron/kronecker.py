@@ -18,6 +18,7 @@ from .expansion import SchurExpansion
 from .partitions import (
     DomainError,
     Partition,
+    check_tworow_args,
     conjugate,
     contains,
     enumerate_partitions,
@@ -33,8 +34,7 @@ METHOD_ORACLE = "oracle_fallback"
 
 def two_row(n: int, p: int) -> Partition:
     """The partition (n-p, p), normalized when p (or n) is 0."""
-    if p < 0 or 2 * p > n:
-        raise DomainError(f"need 0 <= 2p <= n, got p={p}, n={n}")
+    check_tworow_args(n, p)
     if p == 0:
         return (n,) if n else ()
     return (n - p, p)
@@ -51,13 +51,15 @@ class KronExpansion(NamedTuple):
     method: str
 
 
-def _type_difference(nu: Partition, alpha: Partition) -> tuple[int, ...]:
-    counts = tuple(
-        nu[i] - (alpha[i] if i < len(alpha) else 0) for i in range(len(nu))
-    )
-    while counts and counts[-1] == 0:
-        counts = counts[:-1]
-    return counts
+def _route(p: int, lam: Partition) -> tuple[str, Partition]:
+    """The method for s_{(n-p,p)} * s_lam and the shape the tableau rule runs
+    on: lam when lam_1 >= 2p-1, else its conjugate when l(lam) >= 2p-1
+    (the signed-sum oracle, on lam, otherwise)."""
+    if part(lam, 1) >= 2 * p - 1:
+        return METHOD_ROWS, lam
+    if len(lam) >= 2 * p - 1:
+        return METHOD_CONJUGATE, conjugate(lam)
+    return METHOD_ORACLE, lam
 
 
 def kronecker_tableau_count(lam: Partition, alpha: Partition, nu: Partition) -> int:
@@ -67,7 +69,7 @@ def kronecker_tableau_count(lam: Partition, alpha: Partition, nu: Partition) -> 
         return 0
     if not contains(alpha, lam) or not contains(alpha, nu):
         return 0
-    return _count_fillings(lam, alpha, _type_difference(nu, alpha), alpha, True)
+    return _count_fillings(lam, alpha, nu, alpha, True)
 
 
 def _tableau_sum(lam: Partition, nu: Partition, p: int) -> int:
@@ -86,61 +88,41 @@ def kron_upper_bound(p: int, lam: Partition, nu: Partition) -> int:
     return _tableau_sum(lam, nu, p)
 
 
-def _check_args(n: int, p: int, lam: Partition) -> None:
-    if sum(lam) != n:
-        raise DomainError(f"{lam} is not a partition of {n}")
-    if p < 0 or 2 * p > n:
-        raise DomainError(f"need 0 <= 2p <= n, got p={p}, n={n}")
-
-
 def kron_expand_tworow(n: int, p: int, lam: Partition) -> KronExpansion:
     """Full expansion of s_{(n-p,p)} * s_lam.
 
     Uses the tableau rule on lam when lam_1 >= 2p-1, on the conjugate when
     l(lam) >= 2p-1, and the signed-sum oracle otherwise.
     """
-    _check_args(n, p, lam)
-    if part(lam, 1) >= 2 * p - 1:
-        buckets: dict[Partition, int] = {}
-        for alpha in enumerate_partitions(p, inside=lam):
-            _expand_fillings(lam, alpha, alpha, kron=True, out=buckets)
-        return KronExpansion(SchurExpansion(buckets), METHOD_ROWS)
-    if len(lam) >= 2 * p - 1:
-        lamc = conjugate(lam)
-        buckets = {}
-        for alpha in enumerate_partitions(p, inside=lamc):
-            _expand_fillings(lamc, alpha, alpha, kron=True, out=buckets)
-        flipped = {conjugate(nu): c for nu, c in buckets.items()}
-        return KronExpansion(SchurExpansion(flipped), METHOD_CONJUGATE)
-    from .oracle import oracle_tworow_signed_sum
+    check_tworow_args(n, p, lam)
+    method, work = _route(p, lam)
+    if method == METHOD_ORACLE:
+        from .oracle import oracle_tworow_signed_sum
 
-    return KronExpansion(oracle_tworow_signed_sum(n, p, lam), METHOD_ORACLE)
+        return KronExpansion(oracle_tworow_signed_sum(n, p, lam), method)
+    buckets: dict[Partition, int] = {}
+    for alpha in enumerate_partitions(p, inside=work):
+        _expand_fillings(work, alpha, alpha, kron=True, out=buckets)
+    if method == METHOD_CONJUGATE:
+        buckets = {conjugate(nu): c for nu, c in buckets.items()}
+    return KronExpansion(SchurExpansion(buckets), method)
 
 
 def kron_coeff(n: int, p: int, lam: Partition, nu: Partition) -> KronResult:
     """Single coefficient of s_nu in s_{(n-p,p)} * s_lam with its method tag
-    and the tableau-count upper bound."""
-    _check_args(n, p, lam)
-    if sum(nu) != n:
-        raise DomainError(f"{nu} is not a partition of {n}")
-    if part(lam, 1) >= 2 * p - 1:
-        # vanishing shortcuts are justified only where the tableau rule is exact
-        if sum(intersect(lam, nu)) < p:
-            return KronResult(0, METHOD_ROWS, 0)
-        if len(nu) > len(lam) + min(p, len(lam)):
-            return KronResult(0, METHOD_ROWS, 0)
-        value = _tableau_sum(lam, nu, p)
-        return KronResult(value, METHOD_ROWS, value)
-    upper = _tableau_sum(lam, nu, p)
-    if len(lam) >= 2 * p - 1:
-        lamc, nuc = conjugate(lam), conjugate(nu)
-        if sum(intersect(lamc, nuc)) < p:
-            return KronResult(0, METHOD_CONJUGATE, upper)
-        if len(nuc) > len(lamc) + min(p, len(lamc)):
-            return KronResult(0, METHOD_CONJUGATE, upper)
-        value = _tableau_sum(lamc, nuc, p)
-        return KronResult(value, METHOD_CONJUGATE, upper)
-    from .oracle import oracle_tworow_signed_coeff
+    and the tableau-count upper bound (the rule's sum on lam itself)."""
+    check_tworow_args(n, p, lam, nu)
+    method, work = _route(p, lam)
+    if method == METHOD_ORACLE:
+        from .oracle import oracle_tworow_signed_coeff
 
-    value = oracle_tworow_signed_coeff(n, p, lam, nu)
-    return KronResult(value, METHOD_ORACLE, upper)
+        value = oracle_tworow_signed_coeff(n, p, lam, nu)
+    else:
+        work_nu = nu if method == METHOD_ROWS else conjugate(nu)
+        # vanishing shortcuts are justified only where the tableau rule is exact
+        if sum(intersect(work, work_nu)) < p or len(work_nu) > len(work) + min(p, len(work)):
+            value = 0
+        else:
+            value = _tableau_sum(work, work_nu, p)
+    upper = value if method == METHOD_ROWS else _tableau_sum(lam, nu, p)
+    return KronResult(value, method, upper)

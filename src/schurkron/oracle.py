@@ -18,7 +18,9 @@ from typing import NamedTuple
 from .expansion import SchurExpansion
 from .partitions import (
     DomainError,
+    InvariantError,
     Partition,
+    check_tworow_args,
     conjugate,
     enumerate_partitions,
     intersect,
@@ -45,25 +47,9 @@ def cycle_types(n: int) -> list[CycleType]:
     return [CycleType(rho, centralizer_order(rho)) for rho in enumerate_partitions(n)]
 
 
-def _type_difference(nu: Partition, alpha: Partition) -> tuple[int, ...]:
-    counts = tuple(
-        nu[i] - (alpha[i] if i < len(alpha) else 0) for i in range(len(nu))
-    )
-    while counts and counts[-1] == 0:
-        counts = counts[:-1]
-    return counts
-
-
-def _check_tworow_args(n: int, p: int, lam: Partition) -> None:
-    if sum(lam) != n:
-        raise DomainError(f"{lam} is not a partition of {n}")
-    if p < 0 or 2 * p > n:
-        raise DomainError(f"need 0 <= 2p <= n, got p={p}, n={n}")
-
-
 def oracle_tworow_signed_sum(n: int, p: int, lam: Partition) -> SchurExpansion:
     """Full expansion of s_{(n-p,p)} * s_lam by the signed skew-product sum."""
-    _check_tworow_args(n, p, lam)
+    check_tworow_args(n, p, lam)
     acc: dict[Partition, int] = {}
     for alpha in enumerate_partitions(p, inside=lam):
         _expand_fillings(lam, alpha, alpha, kron=False, out=acc)
@@ -74,23 +60,23 @@ def oracle_tworow_signed_sum(n: int, p: int, lam: Partition) -> SchurExpansion:
         for nu, c in neg.items():
             acc[nu] = acc.get(nu, 0) - c
     bad = {nu: c for nu, c in acc.items() if c < 0}
-    assert not bad, f"signed sum went negative: {bad}"
+    if bad:
+        raise InvariantError(f"signed sum went negative: {bad}")
     return SchurExpansion(acc)
 
 
 def oracle_tworow_signed_coeff(n: int, p: int, lam: Partition, nu: Partition) -> int:
     """Single coefficient of s_nu in s_{(n-p,p)} * s_lam, same signed sum."""
-    _check_tworow_args(n, p, lam)
-    if sum(nu) != n:
-        raise DomainError(f"{nu} is not a partition of {n}")
+    check_tworow_args(n, p, lam, nu)
     inter = intersect(lam, nu)
     total = 0
     for alpha in enumerate_partitions(p, inside=inter):
-        total += _count_fillings(lam, alpha, _type_difference(nu, alpha), alpha, False)
+        total += _count_fillings(lam, alpha, nu, alpha, False)
     if p >= 1:
         for beta in enumerate_partitions(p - 1, inside=inter):
-            total -= _count_fillings(lam, beta, _type_difference(nu, beta), beta, False)
-    assert total >= 0, f"signed sum went negative at {nu}: {total}"
+            total -= _count_fillings(lam, beta, nu, beta, False)
+    if total < 0:
+        raise InvariantError(f"signed sum went negative at {nu}: {total}")
     return total
 
 
@@ -137,6 +123,16 @@ def _char_table(n: int):
     return parts, zs, chi, index
 
 
+def _character_quotient(s: int, fact: int, nu: Partition) -> int:
+    """The coefficient s / n! at nu, which must be a non-negative integer."""
+    g, rem = divmod(s, fact)
+    if rem:
+        raise InvariantError(f"non-integral Kronecker coefficient at {nu}")
+    if g < 0:
+        raise InvariantError(f"negative Kronecker coefficient at {nu}")
+    return g
+
+
 def oracle_character_kron(lam: Partition, mu: Partition) -> SchurExpansion:
     """Full expansion of s_lam * s_mu from the triple character sum."""
     n = sum(lam)
@@ -151,10 +147,7 @@ def oracle_character_kron(lam: Partition, mu: Partition) -> SchurExpansion:
     result: dict[Partition, int] = {}
     for i, nu in enumerate(parts):
         row_n = chi[i]
-        s = sum(w * x for w, x in zip(weights, row_n))
-        assert s % fact == 0, f"non-integral Kronecker coefficient at {nu}"
-        g = s // fact
-        assert g >= 0, f"negative Kronecker coefficient at {nu}"
+        g = _character_quotient(sum(w * x for w, x in zip(weights, row_n)), fact, nu)
         if g:
             result[nu] = g
     return SchurExpansion(result)
@@ -173,10 +166,7 @@ def oracle_character_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     s = sum(
         (fact // z) * a * b * c for z, a, b, c in zip(zs, row_l, row_m, row_n)
     )
-    assert s % fact == 0, f"non-integral Kronecker coefficient at {nu}"
-    g = s // fact
-    assert g >= 0
-    return g
+    return _character_quotient(s, fact, nu)
 
 
 def dimension(lam: Partition) -> int:
@@ -189,5 +179,6 @@ def dimension(lam: Partition) -> int:
         for j in range(row):
             hooks *= row - j + conj[j] - i - 1
     f, rem = divmod(math.factorial(sum(lam)), hooks)
-    assert rem == 0
+    if rem:
+        raise InvariantError(f"hook product of {lam} does not divide |{lam}|!")
     return f

@@ -24,6 +24,10 @@ class PartitionParseError(ValueError):
     """Malformed partition text."""
 
 
+class InvariantError(RuntimeError):
+    """A computed result broke a property that holds for every valid input."""
+
+
 def partition(parts: Iterable[int]) -> Partition:
     """Build a partition from any iterable, stripping trailing zeros."""
     p = tuple(int(x) for x in parts)
@@ -152,6 +156,15 @@ def skew_shape(outer: Partition, inner: Partition) -> SkewShape:
     if not contains(inner, outer):
         raise DomainError(f"{inner} is not contained in {outer}")
     return SkewShape(outer, inner)
+
+
+def check_tworow_args(n: int, p: int, *shapes: Partition) -> None:
+    """Raise DomainError unless 0 <= 2p <= n and every shape weighs n."""
+    for lam in shapes:
+        if sum(lam) != n:
+            raise DomainError(f"{lam} is not a partition of {n}")
+    if p < 0 or 2 * p > n:
+        raise DomainError(f"need 0 <= 2p <= n, got p={p}, n={n}")
 
 
 def parse_partition(text: str) -> Partition:

@@ -1,21 +1,28 @@
 """Semistandard skew tableaux filtered by alpha-shifted lattice words.
 
-The fill order is the reverse reading order (right to left within a row, top
-row first), which makes the lattice condition a prefix property: a value v may
-be placed only while #(v-1)'s + alpha_{v-1} stays >= #v's + alpha_v.  The
-running tallies count[v] + alpha_v are kept in ``profile``, which therefore
-stays weakly decreasing and, at a leaf, *is* the partition type + alpha.
+One walk, ``_fill``, serves both uses of the engine.  It fills the cells in
+reverse reading order (right to left within a row, top row first), which
+makes the lattice condition a prefix property: a value v may be placed only
+while #(v-1)'s + alpha_{v-1} stays >= #v's + alpha_v.  The running tallies
+count[v] + alpha_v are kept in ``profile``, which therefore stays weakly
+decreasing and, at a leaf, *is* the partition type + alpha; each leaf adds
+to the bucket of that partition.  Expand mode (``_expand_fillings``) keeps
+every bucket.  Count mode (``_count_fillings``) gives a target nu and adds
+one limit: v may be placed only while profile[v] < nu_v.  The cells number
+|nu| - |alpha|, so every leaf then has profile == nu and the count is the
+sum of the buckets.
 
-Expand mode merges equal fill states before the tail: the shortest run of
+The walk merges equal fill states before the tail: the shortest run of
 whole last skew rows that holds at least 3 cells (the last row alone when it
 is that long).  How the tail can be filled depends only on the values of the
-row above it over its first row's columns and on the profile, so many paths
-share one state.  The walk counts the paths per state at the first cell of
-the tail and fills the tail once per state, weighting each tableau it
-reaches by the count.  Letting the tail span several short rows, instead of
-merging only before a long last row, gives shapes with short bottom rows the
-same gain.  The Kronecker check (rows 1 and 2 settled) must already have run
-by then, so shapes whose check runs inside the tail, and capped walks, whose
+row above it over its first row's columns, on the profile and on the limit,
+which is constant, so the merge is exact in both modes and many paths share
+one state.  The walk counts the paths per state at the first cell of the
+tail and fills the tail once per state, weighting each tableau it reaches by
+the count.  Letting the tail span several short rows, instead of merging
+only before a long last row, gives shapes with short bottom rows the same
+gain.  The Kronecker check (rows 1 and 2 settled) must already have run by
+then, so shapes whose check runs inside the tail, and capped walks, whose
 stopping bucket depends on the visiting order, keep the plain per-tableau
 walk; so do shapes whose tail would be the whole shape.
 """
@@ -25,7 +32,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
-from .partitions import Partition, SkewShape, contains
+from .partitions import Partition, SkewShape, contains, part
 
 
 class Tableau(NamedTuple):
@@ -108,82 +115,25 @@ def _cells(outer: Partition, inner: Partition):
 def _kron_setup(outer, inner, alpha, meta, index, ncells):
     """Checkpoint data for the Kronecker tableau conditions.
 
-    Returns (check_at, slot2, gap).  check_at == -1 means condition (I)
+    Returns (check_at, slot2, gap, row1).  check_at == -1 means condition (I)
     applies (alpha_1 == alpha_2) and every filling qualifies.  Otherwise a
-    filling must have a 1 in box (2, alpha_1) or exactly gap 2's in row 1;
-    both facts are settled once rows 1 and 2 are filled, so the check runs
-    at the first cell of row 3 (or at the leaf for shorter shapes).
+    filling must have a 1 in box (2, alpha_1) or exactly gap 2's in row 1,
+    whose row1 cells come first in the fill order; both facts are settled
+    once rows 1 and 2 are filled, so the check runs at the first cell of
+    row 3 (or at the leaf for shorter shapes).
     """
     a1 = alpha[0] if alpha else 0
     a2 = alpha[1] if len(alpha) > 1 else 0
     if a1 == a2:
-        return -1, -1, 0
+        return -1, -1, 0, 0
     slot2 = index.get((1, a1 - 1), -1)
     check_at = ncells
     for k, (_, _, r) in enumerate(meta):
         if r >= 2:
             check_at = k
             break
-    return check_at, slot2, a1 - a2
-
-
-@lru_cache(maxsize=None)
-def _count_fillings(
-    outer: Partition,
-    inner: Partition,
-    counts: tuple[int, ...],
-    alpha: Partition,
-    kron: bool,
-) -> int:
-    """Count alpha-lattice SSYT of the skew shape with the given type.
-
-    With kron=True only fillings satisfying the Kronecker tableau
-    conditions are counted.
-    """
-    meta, index = _cells(outer, inner)
-    ncells = len(meta)
-    if sum(counts) != ncells:
-        return 0
-    kmax = len(counts)
-    remaining = [0] + list(counts)
-    profile = [0] * (max(kmax, len(alpha)) + 2)
-    profile[0] = ncells + sum(alpha) + 1
-    for i, a in enumerate(alpha):
-        profile[i + 1] = a
-    vals = [0] * ncells
-    check_at, slot2, gap = (
-        _kron_setup(outer, inner, alpha, meta, index, ncells) if kron else (-1, -1, 0)
-    )
-    twos_row1 = 0
-
-    def rec(k: int) -> int:
-        nonlocal twos_row1
-        if k == check_at and not (
-            (slot2 >= 0 and vals[slot2] == 1) or twos_row1 == gap
-        ):
-            return 0
-        if k == ncells:
-            return 1
-        above, right, row = meta[k]
-        lo = vals[above] + 1 if above >= 0 else 1
-        hi = vals[right] if right >= 0 else kmax
-        total = 0
-        for v in range(lo, hi + 1):
-            if remaining[v] == 0 or profile[v - 1] <= profile[v]:
-                continue
-            remaining[v] -= 1
-            profile[v] += 1
-            vals[k] = v
-            if v == 2 and row == 0:
-                twos_row1 += 1
-            total += rec(k + 1)
-            if v == 2 and row == 0:
-                twos_row1 -= 1
-            remaining[v] += 1
-            profile[v] -= 1
-        return total
-
-    return rec(0)
+    row1 = sum(1 for _, _, r in meta if r == 0)
+    return check_at, slot2, a1 - a2, row1
 
 
 class CapReached(Exception):
@@ -194,32 +144,18 @@ class CapReached(Exception):
         self.nu = nu
 
 
-def _expand_fillings(
+def _fill(
     outer: Partition,
     inner: Partition,
     alpha: Partition,
     kron: bool,
+    target: Partition | None = None,
     out: dict | None = None,
     cap: int | None = None,
 ) -> dict[Partition, int]:
-    """Accumulate {nu: count} over all alpha-lattice SSYT of the skew shape.
-
-    nu is the filling's type plus alpha, always a partition because the full
-    reading word satisfies the lattice inequalities.  With kron=True only
-    Kronecker tableaux are counted.  If cap is given, CapReached is raised as
-    soon as any bucket in ``out`` reaches it, with the fillings visited one by
-    one in reverse reading order.
-
-    Without a cap, the tail is the shortest run of whole last skew rows with
-    at least 3 cells.  When it starts below the first row and the Kronecker
-    check runs before it, the walk stops at the tail's first cell and counts
-    the paths sharing each fill state: the row above's values over the
-    tail's first row's columns, and profile[1..vmax].  It then fills the tail
-    once per state, adding that count to every bucket it reaches.  This is
-    exact because nothing else bounds the tail's entries (a tail cell's
-    filled neighbours above and to the right lie in the tail or in that row
-    above), its lattice tests or the final type.
-    """
+    """The fill engine: accumulate {type + alpha: count} into ``out`` over
+    the alpha-lattice SSYT of the skew shape (Kronecker tableaux only when
+    kron=True), only of type target - alpha when a target is given."""
     meta, index = _cells(outer, inner)
     ncells = len(meta)
     la = len(alpha)
@@ -227,12 +163,16 @@ def _expand_fillings(
     profile[0] = ncells + sum(alpha) + 1
     for i, a in enumerate(alpha):
         profile[i + 1] = a
+    # profile[v] must stay below limit[v]: target_v, or out of reach
+    if target is None:
+        limit = [profile[0]] * len(profile)
+    else:
+        limit = ([0, *target] + [0] * len(profile))[: len(profile)]
     vals = [0] * ncells
     buckets = {} if out is None else out
-    check_at, slot2, gap = (
-        _kron_setup(outer, inner, alpha, meta, index, ncells) if kron else (-1, -1, 0)
+    check_at, slot2, gap, row1 = (
+        _kron_setup(outer, inner, alpha, meta, index, ncells) if kron else (-1, -1, 0, 0)
     )
-    twos_row1 = 0
     vmax = la
     stop = ncells
     if cap is None:
@@ -247,9 +187,9 @@ def _expand_fillings(
     weight = 1
 
     def rec(k: int) -> None:
-        nonlocal twos_row1, vmax
+        nonlocal vmax
         if k == check_at and not (
-            (slot2 >= 0 and vals[slot2] == 1) or twos_row1 == gap
+            (slot2 >= 0 and vals[slot2] == 1) or vals[:row1].count(2) == gap
         ):
             return
         if k == stop:
@@ -263,24 +203,22 @@ def _expand_fillings(
             if cap is not None and c >= cap:
                 raise CapReached(nu)
             return
-        above, right, row = meta[k]
+        above, right, _ = meta[k]
         lo = vals[above] + 1 if above >= 0 else 1
         hi = vals[right] if right >= 0 else vmax + 1
         for v in range(lo, hi + 1):
-            if profile[v - 1] <= profile[v]:
+            pv = profile[v]
+            if profile[v - 1] <= pv or pv >= limit[v]:
                 continue
-            profile[v] += 1
+            profile[v] = pv + 1
             vals[k] = v
-            old_vmax = vmax
-            if v > vmax:
+            if v > vmax:  # the lattice test allows v = vmax + 1 at most
                 vmax = v
-            if v == 2 and row == 0:
-                twos_row1 += 1
-            rec(k + 1)
-            if v == 2 and row == 0:
-                twos_row1 -= 1
-            vmax = old_vmax
-            profile[v] -= 1
+                rec(k + 1)
+                vmax = v - 1
+            else:
+                rec(k + 1)
+            profile[v] = pv
 
     rec(0)
     if stop < ncells:
@@ -296,6 +234,38 @@ def _expand_fillings(
         # collection; drop the table now rather than with them
         states.clear()
     return buckets
+
+
+@lru_cache(maxsize=None)
+def _count_fillings(
+    outer: Partition,
+    inner: Partition,
+    nu: Partition,
+    alpha: Partition,
+    kron: bool,
+) -> int:
+    """Number of alpha-lattice SSYT of shape outer/inner and type nu - alpha
+    (Kronecker tableaux only when kron=True).  nu must contain alpha row by
+    row but need not be a partition."""
+    if sum(nu) != sum(outer) - sum(inner) + sum(alpha):
+        return 0
+    return sum(_fill(outer, inner, alpha, kron, nu).values())
+
+
+def _expand_fillings(
+    outer: Partition,
+    inner: Partition,
+    alpha: Partition,
+    kron: bool,
+    out: dict | None = None,
+    cap: int | None = None,
+) -> dict[Partition, int]:
+    """Accumulate {nu: count} into ``out`` over all alpha-lattice SSYT of the
+    skew shape, nu being a filling's type plus alpha (Kronecker tableaux only
+    when kron=True).  If cap is given, CapReached is raised as soon as any
+    bucket reaches it, with the fillings visited one by one in reverse
+    reading order."""
+    return _fill(outer, inner, alpha, kron, None, out, cap)
 
 
 def _normalize_counts(counts: Iterable[int]) -> tuple[int, ...]:
@@ -317,7 +287,10 @@ def count_ssyt_alpha_lattice(
         raise ValueError(
             f"type weighs {sum(counts)}, shape has {shape.size} cells"
         )
-    return _count_fillings(shape.outer, shape.inner, counts, tuple(alpha), False)
+    alpha = tuple(alpha)
+    width = max(len(counts), len(alpha))
+    nu = tuple(part(counts, i) + part(alpha, i) for i in range(1, width + 1))
+    return _count_fillings(shape.outer, shape.inner, nu, alpha, False)
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurkron import (
     DomainError,
@@ -16,12 +18,15 @@ from schurkron import (
     kron_expand_tworow,
     kron_upper_bound,
     kronecker_tableau_count,
+    oracle_character_coeff,
+    oracle_tworow_signed_coeff,
     oracle_tworow_signed_sum,
     part,
     positivity_diff,
     reverse_reading_word,
     skew_shape,
 )
+from schurkron.kronecker import two_row
 from schurkron.tableaux import _expand_fillings
 
 
@@ -217,3 +222,22 @@ class TestLemma31:
                         diff = positivity_diff(lam, alpha).expansion
                         buckets = _expand_fillings(lam, alpha, alpha, kron=True)
                         assert diff.as_dict() == buckets, (lam, alpha)
+
+
+class TestDifferential:
+    """The tableau rule (on lam or its conjugate), the signed-sum oracle and
+    the character oracle are three separate computations of one number."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_routes_and_oracles_agree(self, data):
+        n = data.draw(st.integers(1, 12))
+        p = data.draw(st.integers(0, n // 2))
+        shapes = list(enumerate_partitions(n))
+        lam = data.draw(st.sampled_from(shapes))
+        nu = data.draw(st.sampled_from(shapes))
+        result = kron_coeff(n, p, lam, nu)
+        assert result.value == oracle_tworow_signed_coeff(n, p, lam, nu)
+        assert result.value == oracle_character_coeff(two_row(n, p), lam, nu)
+        assert result.upper_bound >= result.value
+        assert kron_coeff(n, p, conjugate(lam), conjugate(nu)).value == result.value

@@ -5,6 +5,7 @@ import pytest
 
 from schurkron import (
     DomainError,
+    InvariantError,
     centralizer_order,
     conjugate,
     cycle_types,
@@ -16,6 +17,7 @@ from schurkron import (
     oracle_tworow_signed_coeff,
     oracle_tworow_signed_sum,
 )
+from schurkron import oracle
 from schurkron.kronecker import two_row
 
 
@@ -153,3 +155,37 @@ class TestSignedSum:
             oracle_tworow_signed_sum(6, 2, (3, 2))
         with pytest.raises(DomainError):
             oracle_tworow_signed_sum(4, 3, (2, 2))
+
+
+class TestInvariantErrors:
+    """Broken invariants raise InvariantError, which ``python -O`` keeps."""
+
+    def test_signed_sum_going_negative(self, monkeypatch):
+        # count only the subtracted beta |- p-1 terms
+        def fake(outer, inner, alpha, kron, out=None, cap=None):
+            if sum(alpha) == 1:
+                out[outer] = out.get(outer, 0) + 1
+            return out
+
+        monkeypatch.setattr(oracle, "_expand_fillings", fake)
+        with pytest.raises(InvariantError, match="went negative"):
+            oracle_tworow_signed_sum(5, 2, (3, 2))
+
+    def test_signed_coeff_going_negative(self, monkeypatch):
+        monkeypatch.setattr(
+            oracle, "_count_fillings", lambda outer, inner, nu, alpha, kron: int(sum(alpha) == 1)
+        )
+        with pytest.raises(InvariantError, match="went negative"):
+            oracle_tworow_signed_coeff(5, 2, (3, 2), (3, 2))
+
+    @pytest.mark.parametrize(
+        "chi, message",
+        [(((1, 0), (0, 1)), "non-integral"), (((-1, -1), (1, -1)), "negative")],
+    )
+    def test_character_sum(self, monkeypatch, chi, message):
+        table = (((2,), (1, 1)), (2, 2), chi, {(2,): 0, (1, 1): 1})
+        monkeypatch.setattr(oracle, "_char_table", lambda n: table)
+        with pytest.raises(InvariantError, match=message):
+            oracle_character_coeff((2,), (2,), (2,))
+        with pytest.raises(InvariantError, match=message):
+            oracle_character_kron((2,), (2,))

@@ -27,48 +27,69 @@ FIG1 = Tableau(
 
 
 def brute_force_table(shape, alphas):
-    """Independent oracle: try every filling of the skew cells with values
-    1..#cells once, keep those that pass the SSYT conditions, and count them
-    by (type, alpha) for every alpha whose shifted lattice condition the
-    reverse reading word meets; each condition is checked from its
-    definition.  Covers every type with at most #cells values."""
+    """Independent oracle: fill the skew cells with values 1..#cells+2, row
+    by row, each row weakly increasing and each value strictly above the one
+    over it, and count the fillings by (type, alpha, kron) for every alpha
+    whose shifted lattice condition the reverse reading word meets; kron=False
+    counts every such filling, kron=True only Kronecker tableaux.  Each
+    condition is checked from its definition.  An alpha-lattice word with
+    l(alpha) <= 2 uses no value above #cells+2, so every type is covered."""
     outer, inner = shape
-    cells = []
+    rows = []
     for r, end in enumerate(outer):
         start = inner[r] if r < len(inner) else 0
-        cells.extend((r, c) for c in range(start, end))
-    pos = {cell: i for i, cell in enumerate(cells)}
-    rights = [(pos[(r, c)], pos[(r, c + 1)]) for r, c in cells if (r, c + 1) in pos]
-    belows = [(pos[(r, c)], pos[(r + 1, c)]) for r, c in cells if (r + 1, c) in pos]
-    word_order = []
-    for r, end in enumerate(outer):
-        start = inner[r] if r < len(inner) else 0
-        word_order.extend(pos[(r, c)] for c in range(end - 1, start - 1, -1))
+        rows.append([(r, c) for c in range(start, end)])
+    top = sum(map(len, rows)) + 2
+    grid = {}
+
+    def ssyt(r):
+        if r == len(rows):
+            yield
+            return
+        for vals in itertools.combinations_with_replacement(range(1, top + 1), len(rows[r])):
+            if all(grid.get((r - 1, c), 0) < v for (_, c), v in zip(rows[r], vals)):
+                grid.update(zip(rows[r], vals))
+                yield from ssyt(r + 1)
+
+    def lattice(counts, a):
+        # counts[i] and a[i] belong to the value i + 1
+        return all(counts[i] + a[i] >= counts[i + 1] + a[i + 1] for i in range(top))
+
     table = Counter()
-    for values in itertools.product(range(1, len(cells) + 1), repeat=len(cells)):
-        if any(values[j] < values[i] for i, j in rights):
-            continue
-        if any(values[j] <= values[i] for i, j in belows):
-            continue
-        tally = Counter(values)
-        type_counts = tuple(tally.get(v, 0) for v in range(1, max(values, default=0) + 1))
-        word = [values[i] for i in word_order]
+    for _ in ssyt(0):
+        tally = [0] * (top + 1)
+        for v in grid.values():
+            tally[v - 1] += 1
+        type_counts = tuple(tally[: max(grid.values(), default=0)])
+        word = [grid[cell] for row in rows for cell in reversed(row)]
         for alpha in alphas:
-            prefix = Counter()
-            ok = True
+            a = list(alpha) + [0] * (top + 1 - len(alpha))
+            # the whole word is the prefix that most often fails: test it first
+            if not lattice(tally, a):
+                continue
+            prefix = [0] * (top + 1)
             for v in word:
-                prefix[v] += 1
-                for i in range(1, max(prefix) + 1):
-                    left = prefix.get(i, 0) + (alpha[i - 1] if i - 1 < len(alpha) else 0)
-                    right_side = prefix.get(i + 1, 0) + (alpha[i] if i < len(alpha) else 0)
-                    if left < right_side:
-                        ok = False
-                        break
-                if not ok:
+                prefix[v - 1] += 1
+                if not lattice(prefix, a):
                     break
-            if ok:
-                table[(type_counts, alpha)] += 1
+            else:
+                table[(type_counts, alpha, False)] += 1
+                a1, a2 = a[0], a[1]
+                if (
+                    a1 == a2
+                    or grid.get((1, a1 - 1)) == 1
+                    or sum(1 for (r, _), v in grid.items() if r == 0 and v == 2) == a1 - a2
+                ):
+                    table[(type_counts, alpha, True)] += 1
     return table
+
+
+def _plus(counts, alpha):
+    width = max(len(counts), len(alpha))
+    return tuple(
+        (counts[i] if i < len(counts) else 0) + (alpha[i] if i < len(alpha) else 0)
+        for i in range(width)
+    )
 
 
 class TestReadingWord:
@@ -127,7 +148,7 @@ class TestCountSsyt:
     def test_shifted_count_against_brute_force(self):
         shape = skew_shape((4, 3), (2, 1))
         got = count_ssyt_alpha_lattice(shape, (2, 1, 1), (2, 1))
-        assert got == brute_force_table(shape, [(2, 1)])[((2, 1, 1), (2, 1))]
+        assert got == brute_force_table(shape, [(2, 1)])[((2, 1, 1), (2, 1), False)]
         assert got >= 2
 
     def test_brute_force_equivalence_small_shapes(self):
@@ -140,18 +161,30 @@ class TestCountSsyt:
             for inner in enumerate_partitions(outer_size - size, inside=outer)
         ]
         alphas = [(), (1,), (2, 1)]
-        checked = 0
+        checked = merged = 0
         for outer, inner in shapes[::3]:  # thin the grid, keep it varied
             size = sum(outer) - sum(inner)
             shape = SkewShape(outer, inner)
             table = brute_force_table(shape, alphas)
-            for type_counts in enumerate_partitions(size):
-                for alpha in alphas:
+            merged += _merges(outer, inner)
+            for alpha in alphas:
+                for type_counts in enumerate_partitions(size):
                     assert count_ssyt_alpha_lattice(
                         shape, type_counts, alpha
-                    ) == table[(type_counts, alpha)]
+                    ) == table[(type_counts, alpha, False)]
                     checked += 1
+                # every bucket of the walk, which merges equal fill states
+                for kron in (False, True):
+                    want = {
+                        _plus(t, alpha): c
+                        for (t, a, k), c in table.items()
+                        if a == alpha and k == kron
+                    }
+                    assert _expand_fillings(outer, inner, alpha, kron) == want, (
+                        outer, inner, alpha, kron,
+                    )
         assert checked > 600
+        assert merged > 50
 
 
 class TestLrCoefficient:
@@ -201,17 +234,16 @@ def _assert_expand_matches_count(lam, alpha, kron):
     nus = [nu for nu in enumerate_partitions(sum(lam)) if contains(alpha, nu)]
     assert set(got) <= set(nus)
     for nu in nus:
-        counts = tuple(nu[i] - (alpha[i] if i < len(alpha) else 0) for i in range(len(nu)))
-        while counts and counts[-1] == 0:
-            counts = counts[:-1]
-        assert got.get(nu, 0) == _count_fillings(lam, alpha, counts, alpha, kron), (
+        assert got.get(nu, 0) == _count_fillings(lam, alpha, nu, alpha, kron), (
             lam, alpha, kron, nu,
         )
 
 
 class TestExpandFillings:
-    """Expand mode against count mode, which walks each type separately and
-    never merges fill states."""
+    """The unlimited walk against the type-limited one.  Both are the same
+    engine with the same merge, so these tests check the type limit and the
+    bucketing, not the merge; the brute-force table in TestCountSsyt and the
+    character oracle are the independent references for that."""
 
     def test_matches_count_mode_small_shapes(self):
         merged = 0

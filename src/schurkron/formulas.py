@@ -9,7 +9,6 @@ exact integer operations throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .expansion import SchurExpansion
@@ -59,8 +58,7 @@ def p1_expand(lam: Partition) -> SchurExpansion:
     return SchurExpansion(acc)
 
 
-@dataclass(frozen=True)
-class MfreeVerdict:
+class MfreeVerdict(NamedTuple):
     multiplicity_free: bool
     source: str
     witness: tuple[Partition, int] | None = None

@@ -133,6 +133,18 @@ def remove_box(lam: Partition, row: int) -> Partition:
     return tuple(new)
 
 
+def shrink(lam: Partition, k: int) -> list[set[Partition]]:
+    """Levels 0..k: level j holds every partition inside lam with j fewer
+    boxes, reached by removing one corner at a time (k loops, no recursion,
+    however many rows lam has)."""
+    levels = [{lam}]
+    for _ in range(k):
+        levels.append(
+            {remove_box(mu, r) for mu in levels[-1] for r in removable_rows(mu)}
+        )
+    return levels
+
+
 def add_box(lam: Partition, row: int) -> Partition:
     if row == len(lam):
         return lam + (1,)

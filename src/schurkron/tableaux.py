@@ -97,8 +97,8 @@ def is_alpha_lattice(word: Sequence[int], alpha: Partition) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _cells(outer: Partition, inner: Partition):
+@lru_cache(maxsize=1024)
+def _cells(outer: Partition, inner: Partition) -> tuple[tuple[int, int, int], ...]:
     """Reverse-reading-order metadata: (above index, right index, row)."""
     index: dict[tuple[int, int], int] = {}
     meta: list[tuple[int, int, int]] = []
@@ -109,10 +109,10 @@ def _cells(outer: Partition, inner: Partition):
             meta.append((index.get((r - 1, c), -1), index.get((r, c + 1), -1), r))
             index[(r, c)] = k
             k += 1
-    return tuple(meta), index
+    return tuple(meta)
 
 
-def _kron_setup(outer, inner, alpha, meta, index, ncells):
+def _kron_setup(outer, inner, alpha, meta, ncells):
     """Checkpoint data for the Kronecker tableau conditions.
 
     Returns (check_at, slot2, gap, row1).  check_at == -1 means condition (I)
@@ -126,13 +126,14 @@ def _kron_setup(outer, inner, alpha, meta, index, ncells):
     a2 = alpha[1] if len(alpha) > 1 else 0
     if a1 == a2:
         return -1, -1, 0, 0
-    slot2 = index.get((1, a1 - 1), -1)
+    row1 = sum(1 for _, _, r in meta if r == 0)
+    # box (2, alpha_1) follows row 1's cells, outer_2 - alpha_1 cells into row 2
+    slot2 = row1 + part(outer, 2) - a1 if part(inner, 2) < a1 <= part(outer, 2) else -1
     check_at = ncells
     for k, (_, _, r) in enumerate(meta):
         if r >= 2:
             check_at = k
             break
-    row1 = sum(1 for _, _, r in meta if r == 0)
     return check_at, slot2, a1 - a2, row1
 
 
@@ -156,7 +157,7 @@ def _fill(
     """The fill engine: accumulate {type + alpha: count} into ``out`` over
     the alpha-lattice SSYT of the skew shape (Kronecker tableaux only when
     kron=True), only of type target - alpha when a target is given."""
-    meta, index = _cells(outer, inner)
+    meta = _cells(outer, inner)
     ncells = len(meta)
     la = len(alpha)
     profile = [0] * (ncells + la + 2)
@@ -171,7 +172,7 @@ def _fill(
     vals = [0] * ncells
     buckets = {} if out is None else out
     check_at, slot2, gap, row1 = (
-        _kron_setup(outer, inner, alpha, meta, index, ncells) if kron else (-1, -1, 0, 0)
+        _kron_setup(outer, inner, alpha, meta, ncells) if kron else (-1, -1, 0, 0)
     )
     vmax = la
     stop = ncells

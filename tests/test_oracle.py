@@ -2,6 +2,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurkron import (
     DomainError,
@@ -133,8 +135,9 @@ class TestSignedSum:
         assert oracle_tworow_signed_sum(15, 3, (6, 4, 4, 1))[(5, 4, 3, 3)] == 4
 
     def test_single_coeff_matches_full(self):
-        for n in range(1, 9):
-            for p in range(0, n // 2 + 1):
+        # every p up to n = 8, then p <= 4 up to n = 12
+        for n in range(1, 13):
+            for p in range(0, min(n // 2, 4 if n > 8 else n) + 1):
                 for lam in enumerate_partitions(n):
                     expansion = oracle_tworow_signed_sum(n, p, lam)
                     for nu in enumerate_partitions(n):
@@ -149,6 +152,28 @@ class TestSignedSum:
                     assert oracle_tworow_signed_sum(n, p, lam) == (
                         oracle_character_kron(two_row(n, p), lam)
                     ), (n, p, lam)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_single_coeff_matches_full_random(self, data):
+        # the coefficient composes LR numbers, the full sum walks lam/alpha
+        n = data.draw(st.integers(1, 14))
+        p = data.draw(st.integers(0, n // 2))
+        shapes = list(enumerate_partitions(n))
+        lam = data.draw(st.sampled_from(shapes))
+        expansion = oracle_tworow_signed_sum(n, p, lam)
+        nu = data.draw(st.sampled_from(shapes) | st.sampled_from(sorted(expansion)))
+        assert oracle_tworow_signed_coeff(n, p, lam, nu) == expansion[nu]
+
+    def test_deep_single_coefficients(self):
+        # shapes far deeper than the recursion limit; each walk has <= p cells
+        assert oracle_tworow_signed_coeff(2000, 1, (1000, 1000), (1000, 1000)) == 0
+        assert oracle_tworow_signed_coeff(1500, 2, (1500,), (1498, 2)) == 1
+        # s_{(n-2,2)} * s_{1^n} = s_{(2,2,1^{n-4})}
+        column = (1,) * 1200
+        assert oracle_tworow_signed_coeff(1200, 2, column, (2, 2) + (1,) * 1196) == 1
+        assert oracle_tworow_signed_coeff(1200, 2, column, (2,) + (1,) * 1198) == 0
+        assert oracle_tworow_signed_coeff(1200, 2, column, conjugate(column)) == 0
 
     def test_validates_inputs(self):
         with pytest.raises(DomainError):
@@ -172,9 +197,11 @@ class TestInvariantErrors:
             oracle_tworow_signed_sum(5, 2, (3, 2))
 
     def test_signed_coeff_going_negative(self, monkeypatch):
-        monkeypatch.setattr(
-            oracle, "_count_fillings", lambda outer, inner, nu, alpha, kron: int(sum(alpha) == 1)
-        )
+        # fill only the skew shapes of the subtracted p-1 = 1 cell terms
+        def fake(outer, inner, alpha, kron, out=None, cap=None):
+            return {(1,): 1} if sum(outer) - sum(inner) == 1 else {}
+
+        monkeypatch.setattr(oracle, "_expand_fillings", fake)
         with pytest.raises(InvariantError, match="went negative"):
             oracle_tworow_signed_coeff(5, 2, (3, 2), (3, 2))
 

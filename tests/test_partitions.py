@@ -16,6 +16,7 @@ from schurkron import (
     partition,
     skew_shape,
 )
+from schurkron.partitions import shrink
 
 
 def all_partitions_up_to(nmax):
@@ -115,6 +116,25 @@ class TestEnumerate:
     def test_max_length_and_part(self):
         got = list(enumerate_partitions(6, max_length=2, max_part=4))
         assert got == [(4, 2), (3, 3)]
+
+
+class TestShrink:
+    def test_levels_are_the_contained_partitions(self):
+        for lam in all_partitions_up_to(9):
+            n = sum(lam)
+            levels = shrink(lam, n)
+            assert len(levels) == n + 1
+            for j, level in enumerate(levels):
+                expected = {mu for mu in enumerate_partitions(n - j) if contains(mu, lam)}
+                assert level == expected, (lam, j)
+
+    def test_deep_shapes(self):
+        # one loop per removed box, none per row
+        column = (1,) * 1200
+        assert shrink(column, 3)[3] == {(1,) * 1197}
+        levels = shrink((5, 4) + column, 2)
+        assert levels[1] == {(4, 4) + column, (5, 3) + column, (5, 4) + (1,) * 1199}
+        assert len(levels[2]) == 5
 
 
 class TestConstructionAndText:

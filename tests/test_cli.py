@@ -74,6 +74,15 @@ class TestKronCommand:
         assert (rc, out) == (2, "")
         assert "parts" in err and "Traceback" not in err
 
+    def test_character_oracle_size_limit_exit_3(self):
+        from schurkron.oracle import MAX_CHAR_N
+
+        n = str(MAX_CHAR_N + 1)
+        for extra in ([], ["--nu", n]):
+            rc, out, err = run_cli("kron", n, "2", n, "--method", "oracle-char", *extra)
+            assert (rc, out) == (3, "")
+            assert err.count("\n") == 1 and f"n <= {MAX_CHAR_N}" in err
+
     def test_domain_error_exit_3(self):
         rc, _, _ = run_cli("kron", "5", "3", "4,1")
         assert rc == 3

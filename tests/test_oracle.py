@@ -104,6 +104,38 @@ class TestCharacterKron:
                     assert oracle_character_coeff(nu, lam, mu) == g
                     assert oracle_character_coeff(nu, mu, lam) == g
 
+    def test_packed_expansion_matches_single_coefficients(self):
+        # every nu, not only the support: a dropped or shifted digit fails
+        for n in range(0, 10):
+            lams = list(enumerate_partitions(n))
+            for lam, mu in itertools.product(lams, lams):
+                want = {nu: oracle_character_coeff(lam, mu, nu) for nu in lams}
+                assert oracle_character_kron(lam, mu).as_dict() == {
+                    nu: g for nu, g in want.items() if g
+                }, (lam, mu)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_packed_expansion_matches_single_coefficients_random(self, data):
+        n = data.draw(st.integers(10, 12))
+        lams = list(enumerate_partitions(n))
+        lam = data.draw(st.sampled_from(lams))
+        mu = data.draw(st.sampled_from(lams))
+        want = {nu: oracle_character_coeff(lam, mu, nu) for nu in lams}
+        assert oracle_character_kron(lam, mu).as_dict() == {
+            nu: g for nu, g in want.items() if g
+        }
+
+    def test_size_limit(self):
+        n = oracle.MAX_CHAR_N + 1
+        evals = oracle._mn.cache_info().misses
+        with pytest.raises(DomainError, match="n <= "):
+            oracle_character_kron((n,), (n - 1, 1))
+        with pytest.raises(DomainError, match="n <= "):
+            oracle_character_coeff((n,), (n,), (n,))
+        # refused before a single character value is computed
+        assert oracle._mn.cache_info().misses == evals
+
     def test_conjugation_invariance(self):
         for n in range(1, 10):
             lams = list(enumerate_partitions(n))
@@ -205,14 +237,39 @@ class TestInvariantErrors:
         with pytest.raises(InvariantError, match="went negative"):
             oracle_tworow_signed_coeff(5, 2, (3, 2), (3, 2))
 
+    @staticmethod
+    def _fake_table(monkeypatch, chi):
+        # S_2 with a made-up character table, packed as the real one is
+        parts = ((2,), (1, 1))
+        table = (parts, (2, 2), chi, {(2,): 0, (1, 1): 1})
+        table += oracle._pack_columns(chi, 2)
+        monkeypatch.setattr(oracle, "_char_table", lambda n: table)
+
     @pytest.mark.parametrize(
         "chi, message",
         [(((1, 0), (0, 1)), "non-integral"), (((-1, -1), (1, -1)), "negative")],
     )
     def test_character_sum(self, monkeypatch, chi, message):
-        table = (((2,), (1, 1)), (2, 2), chi, {(2,): 0, (1, 1): 1})
-        monkeypatch.setattr(oracle, "_char_table", lambda n: table)
+        self._fake_table(monkeypatch, chi)
         with pytest.raises(InvariantError, match=message):
             oracle_character_coeff((2,), (2,), (2,))
         with pytest.raises(InvariantError, match=message):
+            oracle_character_kron((2,), (2,))
+
+    def test_character_sum_negative_after_a_good_digit(self, monkeypatch):
+        # 2! g = 2 at (2,), then -2 at (1,1): the second digit borrows
+        self._fake_table(monkeypatch, ((1, 1), (-1, -1)))
+        assert oracle_character_coeff((2,), (2,), (2,)) == 1
+        with pytest.raises(InvariantError, match="negative.*1, 1"):
+            oracle_character_coeff((2,), (2,), (1, 1))
+        with pytest.raises(InvariantError, match="negative.*1, 1"):
+            oracle_character_kron((2,), (2,))
+
+    def test_character_sum_carry(self, monkeypatch):
+        # 2! g = 64 at (2,) does not fit a 3-bit digit: both digits read 0
+        # and 64 = 1 * 8^2 is left over
+        chi = ((4, 0), (0, 0))
+        table = (((2,), (1, 1)), (2, 2), chi, {(2,): 0, (1, 1): 1}, 3, (4, 0))
+        monkeypatch.setattr(oracle, "_char_table", lambda n: table)
+        with pytest.raises(InvariantError, match="carry"):
             oracle_character_kron((2,), (2,))

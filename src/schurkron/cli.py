@@ -2,11 +2,16 @@
 
 Subcommands: kron, skew, lr, positivity, mfree, formula (hook, tworow, seq,
 nu334, rect-p2, p1) and verify.  Plain output prints one ``nu : coeff`` line
-per term, descending lex, after ``#`` metadata lines; ``--json`` emits one
+per term, descending lex, after one ``#`` metadata line; ``--json`` emits one
 compact JSON object with coefficients as decimal strings.  Exit codes:
 0 ok, 2 parse error, 3 domain violation, 4 verification failure.
 
-stdout is byte-identical across repeated invocations; timing goes to stderr.
+Every ``_cmd_*`` handler computes and returns ``(record, header, body)``:
+``record`` is the JSON object, ``header`` the plain ``#`` line (``None``
+means every key of the record but ``terms``) and ``body`` the plain lines
+after it.  Only ``main`` writes stdout, and ``record["ok"] is False`` makes
+it exit 4.  stdout is byte-identical across repeated invocations; timing
+goes to stderr.
 """
 
 from __future__ import annotations
@@ -16,16 +21,9 @@ import json
 import sys
 import time
 
+from . import formulas
 from .expansion import SchurExpansion
-from .formulas import (
-    hook_coeff,
-    is_multiplicity_free,
-    nu_double_pair_coeff,
-    p1_expand,
-    rect_p2_expand,
-    tworow_target_coeff,
-    tworow_tworow_sequence,
-)
+from .formulas import TworowSequence, is_multiplicity_free
 from .kronecker import (
     METHOD_CONJUGATE,
     METHOD_ROWS,
@@ -43,6 +41,8 @@ from .oracle import (
 from .partitions import (
     DomainError,
     PartitionParseError,
+    check_tworow_args,
+    enumerate_partitions,
     format_partition,
     parse_partition,
 )
@@ -55,34 +55,17 @@ EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
 
-
-def _dump(record: dict) -> str:
-    return json.dumps(record, separators=(",", ":"))
-
-
-def _terms_json(expansion: SchurExpansion) -> list[dict]:
-    return [
-        {"nu": list(nu), "coeff": str(c)} for nu, c in expansion.items_desc()
-    ]
-
-
-def _print_terms(expansion: SchurExpansion) -> None:
-    for nu, c in expansion.items_desc():
-        print(f"{format_partition(nu)} : {c}")
-
-
-def _emit(record: dict, expansion: SchurExpansion | None, as_json: bool) -> None:
-    if as_json:
-        if expansion is not None:
-            record["terms"] = _terms_json(expansion)
-        print(_dump(record))
-        return
-    meta = " ".join(
-        f"{k}={_plain(v)}" for k, v in record.items() if k != "terms"
-    )
-    print(f"# {meta}")
-    if expansion is not None:
-        _print_terms(expansion)
+# formula kind -> (function in ``formulas``, positionals, help).  The function
+# is looked up by name at call time, so wrappers installed over the module's
+# globals see the call.
+FORMULAS = {
+    "hook": ("hook_coeff", ("n", "p", "s", "nu"), "coefficient in s_(n-p,p) * s_(n-s,1^s)"),
+    "tworow": ("tworow_target_coeff", ("n", "p", "lam", "t"), "coefficient of s_(n-t,t)"),
+    "seq": ("tworow_tworow_sequence", ("n", "p", "s"), "two-row coefficient sequence t=s-p..s+p"),
+    "nu334": ("nu_double_pair_coeff", ("n", "p", "s", "nu"), "coefficient of s_(nu1,nu2,nu3,nu3)"),
+    "rect-p2": ("rect_p2_expand", ("m", "k"), "expand s_(n-2,2) * s_(m^k)"),
+    "p1": ("p1_expand", ("lam",), "expand s_(n-1,1) * s_lam"),
+}
 
 
 def _plain(value) -> str:
@@ -93,274 +76,157 @@ def _plain(value) -> str:
     return str(value)
 
 
-def _cmd_kron(args) -> int:
-    lam = parse_partition(args.lam)
-    n, p = args.n, args.p
-    record: dict = {"command": "kron", "n": n, "p": p, "lambda": list(lam)}
-    if args.nu is None:
-        if args.method in ("auto", "theorem"):
-            result = kron_expand_tworow(n, p, lam)
-            if args.method == "theorem" and result.method not in (
-                METHOD_ROWS,
-                METHOD_CONJUGATE,
-            ):
-                raise DomainError(
-                    f"tableau rule needs lam_1 >= {2 * p - 1} or l(lam) >= {2 * p - 1}"
-                )
-            expansion, method = result.expansion, result.method
-        elif args.method == "oracle-signed":
-            expansion, method = oracle_tworow_signed_sum(n, p, lam), "oracle_signed_sum"
-        else:
-            if sum(lam) != n or 2 * p > n:
-                raise DomainError("need lam |- n and 2p <= n")
-            expansion, method = oracle_character_kron(two_row(n, p), lam), "oracle_character"
-        record["method"] = method
-        _emit(record, expansion, args.json)
-        return EXIT_OK
-    nu = parse_partition(args.nu)
-    record["nu"] = list(nu)
+def _meta(record: dict, keys=None) -> str:
+    """``key=value`` pairs of the record (or of ``keys``) for a ``#`` line."""
+    return " ".join(f"{k}={_plain(record[k])}" for k in keys or record if k != "terms")
+
+
+def _terms(record: dict, expansion: SchurExpansion) -> list[str]:
+    """Attach the expansion to the record as ``terms``; return its plain lines."""
+    items = expansion.items_desc()
+    record["terms"] = [{"nu": list(nu), "coeff": str(c)} for nu, c in items]
+    return [f"{format_partition(nu)} : {c}" for nu, c in items]
+
+
+def _read(args, names, **head) -> tuple[dict, list]:
+    """The record ``head`` followed by the positionals ``names`` of ``args``
+    (``lam`` keyed ``lambda``), and their values with partitions parsed."""
+    values = [getattr(args, name) for name in names]
+    values = [parse_partition(v) if isinstance(v, str) else v for v in values]
+    record = dict(head)
+    for name, value in zip(names, values):
+        value = list(value) if isinstance(value, tuple) else value
+        record["lambda" if name == "lam" else name] = value
+    return record, values
+
+
+def _cmd_kron(args):
+    names = ("n", "p", "lam") if args.nu is None else ("n", "p", "lam", "nu")
+    record, (n, p, *shapes) = _read(args, names, command="kron")
     if args.method in ("auto", "theorem"):
-        result = kron_coeff(n, p, lam, nu)
-        if args.method == "theorem" and result.method not in (
-            METHOD_ROWS,
-            METHOD_CONJUGATE,
-        ):
-            raise DomainError(
-                f"tableau rule needs lam_1 >= {2 * p - 1} or l(lam) >= {2 * p - 1}"
-            )
-        value, method, upper = result.value, result.method, result.upper_bound
+        rule = kron_expand_tworow if args.nu is None else kron_coeff
+        result = rule(n, p, *shapes)
+        if args.method == "theorem" and result.method not in (METHOD_ROWS, METHOD_CONJUGATE):
+            raise DomainError(f"tableau rule needs lam_1 >= {2 * p - 1} or l(lam) >= {2 * p - 1}")
+        method = result.method
+        answer = result.expansion if args.nu is None else result.value
     elif args.method == "oracle-signed":
-        value, method = oracle_tworow_signed_coeff(n, p, lam, nu), "oracle_signed_sum"
-        upper = kron_upper_bound(p, lam, nu)
+        method = "oracle_signed_sum"
+        signed = oracle_tworow_signed_sum if args.nu is None else oracle_tworow_signed_coeff
+        answer = signed(n, p, *shapes)
     else:
-        if sum(lam) != n or sum(nu) != n or 2 * p > n:
-            raise DomainError("need lam, nu |- n and 2p <= n")
-        value, method = oracle_character_coeff(two_row(n, p), lam, nu), "oracle_character"
-        upper = kron_upper_bound(p, lam, nu)
-    record.update({"method": method, "value": str(value), "upper_bound": str(upper)})
-    if args.json:
-        print(_dump(record))
+        check_tworow_args(n, p, *shapes)
+        method = "oracle_character"
+        character = oracle_character_kron if args.nu is None else oracle_character_coeff
+        answer = character(two_row(n, p), *shapes)
+    record["method"] = method
+    if args.nu is None:
+        return record, None, _terms(record, answer)
+    if args.method in ("auto", "theorem"):
+        upper = result.upper_bound
     else:
-        meta = " ".join(f"{k}={_plain(v)}" for k, v in record.items())
-        print(f"# {meta}")
-        print(f"{format_partition(nu)} : {value}")
-    return EXIT_OK
+        upper = kron_upper_bound(p, *shapes)
+    record.update({"value": str(answer), "upper_bound": str(upper)})
+    return record, None, [f"{format_partition(shapes[1])} : {answer}"]
 
 
-def _cmd_skew(args) -> int:
-    lam, mu = parse_partition(args.lam), parse_partition(args.mu)
-    expansion = skew_expand(lam, mu)
-    _emit(
-        {"command": "skew", "lambda": list(lam), "mu": list(mu)},
-        expansion,
-        args.json,
-    )
-    return EXIT_OK
+def _cmd_skew(args):
+    record, (lam, mu) = _read(args, ("lam", "mu"), command="skew")
+    return record, None, _terms(record, skew_expand(lam, mu))
 
 
-def _cmd_lr(args) -> int:
-    lam, mu, nu = (parse_partition(x) for x in (args.lam, args.mu, args.nu))
-    value = lr_coefficient(lam, mu, nu)
-    record = {
-        "command": "lr",
-        "lambda": list(lam),
-        "mu": list(mu),
-        "nu": list(nu),
-        "value": str(value),
-    }
-    if args.json:
-        print(_dump(record))
-    else:
-        print(f"# {' '.join(f'{k}={_plain(v)}' for k, v in record.items())}")
-        print(value)
-    return EXIT_OK
+def _cmd_lr(args):
+    record, shapes = _read(args, ("lam", "mu", "nu"), command="lr")
+    record["value"] = str(lr_coefficient(*shapes))
+    return record, None, [record["value"]]
 
 
-def _cmd_positivity(args) -> int:
-    lam, alpha = parse_partition(args.lam), parse_partition(args.alpha)
+def _cmd_positivity(args):
+    record, (lam, alpha) = _read(args, ("lam", "alpha"), command="positivity")
     result = positivity_diff(lam, alpha)
-    record = {
-        "command": "positivity",
-        "lambda": list(lam),
-        "alpha": list(alpha),
-        "schur_positive": result.schur_positive,
-    }
-    _emit(record, result.expansion, args.json)
-    return EXIT_OK
+    record["schur_positive"] = result.schur_positive
+    return record, None, _terms(record, result.expansion)
 
 
-def _cmd_mfree(args) -> int:
-    from .partitions import enumerate_partitions
-
+def _cmd_mfree(args):
     if args.sweep:
-        n, p = args.n, args.p
-        results = []
-        for lam in enumerate_partitions(n):
-            verdict = is_multiplicity_free(n, p, lam)
-            results.append((lam, verdict))
-        if args.json:
-            record = {
-                "command": "mfree-sweep",
-                "n": n,
-                "p": p,
-                "results": [
-                    {
-                        "lambda": list(lam),
-                        "multiplicity_free": v.multiplicity_free,
-                        "source": v.source,
-                    }
-                    for lam, v in results
-                ],
-            }
-            print(_dump(record))
-        else:
-            print(f"# mfree-sweep n={n} p={p}")
-            for lam, v in results:
-                print(
-                    f"{format_partition(lam)} : "
-                    f"{'true' if v.multiplicity_free else 'false'} ({v.source})"
-                )
-        return EXIT_OK
+        record, (n, p) = _read(args, ("n", "p"), command="mfree-sweep")
+        verdicts = [(lam, is_multiplicity_free(n, p, lam)) for lam in enumerate_partitions(n)]
+        record["results"] = [
+            {"lambda": list(lam), "multiplicity_free": v.multiplicity_free, "source": v.source}
+            for lam, v in verdicts
+        ]
+        body = [
+            f"{format_partition(lam)} : {_plain(v.multiplicity_free)} ({v.source})"
+            for lam, v in verdicts
+        ]
+        return record, f"# mfree-sweep {_meta(record, ('n', 'p'))}", body
     if args.lam is None:
         raise PartitionParseError("mfree needs a partition unless --sweep is given")
-    lam = parse_partition(args.lam)
-    verdict = is_multiplicity_free(args.n, args.p, lam)
-    record: dict = {
-        "command": "mfree",
-        "n": args.n,
-        "p": args.p,
-        "lambda": list(lam),
-        "multiplicity_free": verdict.multiplicity_free,
-        "source": verdict.source,
-    }
+    record, (n, p, lam) = _read(args, ("n", "p", "lam"), command="mfree")
+    verdict = is_multiplicity_free(n, p, lam)
+    record.update(multiplicity_free=verdict.multiplicity_free, source=verdict.source)
+    line = f"multiplicity_free: {_plain(verdict.multiplicity_free)} (source: {verdict.source})"
     if verdict.witness is not None:
         nu, coeff = verdict.witness
         record["witness"] = {"nu": list(nu), "coeff": str(coeff)}
-    if args.json:
-        print(_dump(record))
-    else:
-        line = (
-            f"multiplicity_free: {'true' if verdict.multiplicity_free else 'false'}"
-            f" (source: {verdict.source})"
-        )
-        if verdict.witness is not None:
-            nu, coeff = verdict.witness
-            line += f" witness {format_partition(nu)} : {coeff}"
-        print(f"# mfree n={args.n} p={args.p} lambda={format_partition(lam)}")
-        print(line)
-    return EXIT_OK
+        line += f" witness {format_partition(nu)} : {coeff}"
+    return record, f"# mfree {_meta(record, ('n', 'p', 'lambda'))}", [line]
 
 
-def _cmd_formula(args) -> int:
+def _cmd_formula(args):
     kind = args.formula_cmd
-    if kind == "hook":
-        nu = parse_partition(args.nu)
-        value = hook_coeff(args.n, args.p, args.s, nu)
-        record = {
-            "command": "formula",
-            "formula": "hook",
-            "n": args.n,
-            "p": args.p,
-            "s": args.s,
-            "nu": list(nu),
-            "value": str(value),
-        }
-    elif kind == "tworow":
-        lam = parse_partition(args.lam)
-        value = tworow_target_coeff(args.n, args.p, lam, args.t)
-        record = {
-            "command": "formula",
-            "formula": "tworow",
-            "n": args.n,
-            "p": args.p,
-            "lambda": list(lam),
-            "t": args.t,
-            "value": str(value),
-        }
-    elif kind == "seq":
-        seq = tworow_tworow_sequence(args.n, args.p, args.s)
-        record = {
-            "command": "formula",
-            "formula": "seq",
-            "n": args.n,
-            "p": args.p,
-            "s": args.s,
-            "entries": [
-                {"t": e.t, "value": str(e.value), "source": e.source}
-                for e in seq.entries
-            ],
-            "unimodal": seq.unimodal,
-        }
-        if args.json:
-            print(_dump(record))
-        else:
-            print(f"# formula seq n={args.n} p={args.p} s={args.s} unimodal={_plain(seq.unimodal)}")
-            for e in seq.entries:
-                print(f"t={e.t} : {e.value} ({e.source})")
-        return EXIT_OK
-    elif kind == "nu334":
-        nu = parse_partition(args.nu)
-        value = nu_double_pair_coeff(args.n, args.p, args.s, nu)
-        record = {
-            "command": "formula",
-            "formula": "nu334",
-            "n": args.n,
-            "p": args.p,
-            "s": args.s,
-            "nu": list(nu),
-            "value": str(value),
-        }
-    elif kind == "rect-p2":
-        expansion = rect_p2_expand(args.m, args.k)
-        _emit(
-            {"command": "formula", "formula": "rect-p2", "m": args.m, "k": args.k},
-            expansion,
-            args.json,
-        )
-        return EXIT_OK
-    else:  # p1
-        lam = parse_partition(args.lam)
-        expansion = p1_expand(lam)
-        _emit(
-            {"command": "formula", "formula": "p1", "lambda": list(lam)},
-            expansion,
-            args.json,
-        )
-        return EXIT_OK
-    if args.json:
-        print(_dump(record))
-    else:
-        print(f"# {' '.join(f'{k}={_plain(v)}' for k, v in record.items() if k != 'value')}")
-        print(record["value"])
-    return EXIT_OK
+    name, names, _ = FORMULAS[kind]
+    record, values = _read(args, names, command="formula", formula=kind)
+    result = getattr(formulas, name)(*values)
+    if isinstance(result, SchurExpansion):
+        return record, None, _terms(record, result)
+    if isinstance(result, TworowSequence):
+        record["entries"] = [
+            {"t": e.t, "value": str(e.value), "source": e.source} for e in result.entries
+        ]
+        record["unimodal"] = result.unimodal
+        body = [f"t={e.t} : {e.value} ({e.source})" for e in result.entries]
+        return record, f"# formula seq {_meta(record, (*names, 'unimodal'))}", body
+    header = f"# {_meta(record)}"
+    record["value"] = str(result)
+    return record, header, [record["value"]]
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     nmax, pmax = args.grid
-    suite = SUITES[args.suite]
-    checked, mismatches = suite(nmax, pmax)
-    record: dict = {
-        "command": "verify",
-        "suite": args.suite,
-        "nmax": nmax,
-        "pmax": pmax,
-        "checked": checked,
-        "ok": not mismatches,
-    }
+    checked, mismatches = SUITES[args.suite](nmax, pmax)
+    record = {"command": "verify", "suite": args.suite, "nmax": nmax, "pmax": pmax,
+              "checked": checked, "ok": not mismatches}
     if mismatches:
         record["mismatches"] = mismatches[:20]
-    print(f"# workers {worker_count()}", file=sys.stderr)
-    if args.json:
-        print(_dump(record))
+        body = [f"MISMATCH {m}" for m in mismatches[:20]]
+        body.append(f"{len(mismatches)} mismatches in {checked} cases")
     else:
-        print(f"# verify suite={args.suite} nmax={nmax} pmax={pmax}")
-        if mismatches:
-            for m in mismatches[:20]:
-                print(f"MISMATCH {m}")
-            print(f"{len(mismatches)} mismatches in {checked} cases")
-        else:
-            print(f"checked {checked} cases: all equal")
-    return EXIT_OK if not mismatches else EXIT_VERIFY
+        body = [f"checked {checked} cases: all equal"]
+    print(f"# workers {worker_count()}", file=sys.stderr)
+    return record, f"# verify {_meta(record, ('suite', 'nmax', 'pmax'))}", body
+
+
+def command(parent, name: str, help: str, func, *positionals: str, **options):
+    """Add subcommand ``name`` that runs ``func``.  One-letter positionals are
+    ints, the others partition text; a trailing ``?`` makes one optional.
+    ``options`` become ``--option``s with their ``add_argument`` keywords,
+    followed by ``--json``."""
+    parser = parent.add_parser(name, help=help)
+    for pos in positionals:
+        dest = pos.rstrip("?")
+        parser.add_argument(
+            dest,
+            metavar="lambda" if dest == "lam" else None,
+            type=int if len(dest) == 1 else None,
+            nargs="?" if pos.endswith("?") else None,
+        )
+    for option, kwargs in options.items():
+        parser.add_argument(f"--{option}", **kwargs)
+    parser.add_argument("--json", action="store_true", help="emit one JSON object")
+    parser.set_defaults(func=func)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,97 +235,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="Kronecker products of Schur functions with a two-row factor",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_json(p):
-        p.add_argument("--json", action="store_true", help="emit one JSON object")
-
-    p_kron = sub.add_parser("kron", help="expand s_(n-p,p) * s_lam or one coefficient")
-    p_kron.add_argument("n", type=int)
-    p_kron.add_argument("p", type=int)
-    p_kron.add_argument("lam", metavar="lambda")
-    p_kron.add_argument("--nu", default=None)
-    p_kron.add_argument(
-        "--method",
-        choices=["auto", "theorem", "oracle-signed", "oracle-char"],
-        default="auto",
+    command(
+        sub, "kron", "expand s_(n-p,p) * s_lam or one coefficient",
+        _cmd_kron, "n", "p", "lam",
+        nu={"default": None},
+        method={"choices": ["auto", "theorem", "oracle-signed", "oracle-char"], "default": "auto"},
     )
-    add_json(p_kron)
-    p_kron.set_defaults(func=_cmd_kron)
-
-    p_skew = sub.add_parser("skew", help="expand the skew Schur function s_lam/mu")
-    p_skew.add_argument("lam", metavar="lambda")
-    p_skew.add_argument("mu")
-    add_json(p_skew)
-    p_skew.set_defaults(func=_cmd_skew)
-
-    p_lr = sub.add_parser("lr", help="Littlewood-Richardson coefficient c^lam_mu,nu")
-    p_lr.add_argument("lam", metavar="lambda")
-    p_lr.add_argument("mu")
-    p_lr.add_argument("nu")
-    add_json(p_lr)
-    p_lr.set_defaults(func=_cmd_lr)
-
-    p_pos = sub.add_parser(
-        "positivity",
-        help="expand s_lam/alpha s_alpha - s_lam/alpha- s_alpha- and test positivity",
+    command(sub, "skew", "expand the skew Schur function s_lam/mu", _cmd_skew, "lam", "mu")
+    command(sub, "lr", "Littlewood-Richardson coefficient c^lam_mu,nu", _cmd_lr, "lam", "mu", "nu")
+    command(
+        sub, "positivity",
+        "expand s_lam/alpha s_alpha - s_lam/alpha- s_alpha- and test positivity",
+        _cmd_positivity, "lam", "alpha",
     )
-    p_pos.add_argument("lam", metavar="lambda")
-    p_pos.add_argument("alpha")
-    add_json(p_pos)
-    p_pos.set_defaults(func=_cmd_positivity)
-
-    p_mf = sub.add_parser("mfree", help="multiplicity-freeness of s_(n-p,p) * s_lam")
-    p_mf.add_argument("--sweep", action="store_true", help="all lam |- n")
-    p_mf.add_argument("n", type=int)
-    p_mf.add_argument("p", type=int)
-    p_mf.add_argument("lam", metavar="lambda", nargs="?", default=None)
-    add_json(p_mf)
-    p_mf.set_defaults(func=_cmd_mfree)
-
-    p_f = sub.add_parser("formula", help="closed-form coefficients")
-    fsub = p_f.add_subparsers(dest="formula_cmd", required=True)
-
-    f_hook = fsub.add_parser("hook", help="coefficient in s_(n-p,p) * s_(n-s,1^s)")
-    for name in ("n", "p", "s"):
-        f_hook.add_argument(name, type=int)
-    f_hook.add_argument("nu")
-    add_json(f_hook)
-
-    f_tworow = fsub.add_parser("tworow", help="coefficient of s_(n-t,t)")
-    f_tworow.add_argument("n", type=int)
-    f_tworow.add_argument("p", type=int)
-    f_tworow.add_argument("lam", metavar="lambda")
-    f_tworow.add_argument("t", type=int)
-    add_json(f_tworow)
-
-    f_seq = fsub.add_parser("seq", help="two-row coefficient sequence t=s-p..s+p")
-    for name in ("n", "p", "s"):
-        f_seq.add_argument(name, type=int)
-    add_json(f_seq)
-
-    f_nu = fsub.add_parser("nu334", help="coefficient of s_(nu1,nu2,nu3,nu3)")
-    for name in ("n", "p", "s"):
-        f_nu.add_argument(name, type=int)
-    f_nu.add_argument("nu")
-    add_json(f_nu)
-
-    f_rect = fsub.add_parser("rect-p2", help="expand s_(n-2,2) * s_(m^k)")
-    f_rect.add_argument("m", type=int)
-    f_rect.add_argument("k", type=int)
-    add_json(f_rect)
-
-    f_p1 = fsub.add_parser("p1", help="expand s_(n-1,1) * s_lam")
-    f_p1.add_argument("lam", metavar="lambda")
-    add_json(f_p1)
-
-    p_f.set_defaults(func=_cmd_formula)
-
-    p_v = sub.add_parser("verify", help="run a cross-check grid")
-    p_v.add_argument("--grid", type=int, nargs=2, metavar=("NMAX", "PMAX"), default=[8, 2])
-    p_v.add_argument("--suite", choices=sorted(SUITES), default="theorem")
-    add_json(p_v)
-    p_v.set_defaults(func=_cmd_verify)
-
+    command(
+        sub, "mfree", "multiplicity-freeness of s_(n-p,p) * s_lam", _cmd_mfree, "n", "p", "lam?",
+        sweep={"action": "store_true", "help": "all lam |- n"},
+    )
+    fsub = sub.add_parser("formula", help="closed-form coefficients").add_subparsers(
+        dest="formula_cmd", required=True
+    )
+    for kind, (_, names, help) in FORMULAS.items():
+        command(fsub, kind, help, _cmd_formula, *names)
+    command(
+        sub, "verify", "run a cross-check grid", _cmd_verify,
+        grid={"type": int, "nargs": 2, "metavar": ("NMAX", "PMAX"), "default": [8, 2]},
+        suite={"choices": sorted(SUITES), "default": "theorem"},
+    )
     return parser
 
 
@@ -471,15 +273,19 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     started = time.perf_counter()
     try:
-        code = args.func(args)
+        record, header, body = args.func(args)
     except (PartitionParseError, WorkerCountError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    if args.json:
+        print(json.dumps(record, separators=(",", ":")))
+    else:
+        print("\n".join([header or f"# {_meta(record)}", *body]))
     print(f"# elapsed {time.perf_counter() - started:.3f}s", file=sys.stderr)
-    return code
+    return EXIT_VERIFY if record.get("ok") is False else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from .expansion import SchurExpansion
 from .partitions import (
     DomainError,
     Partition,
+    check_partition,
     check_tworow_args,
     conjugate,
     contains,
@@ -83,6 +84,8 @@ def _tableau_sum(lam: Partition, nu: Partition, p: int) -> int:
 def kron_upper_bound(p: int, lam: Partition, nu: Partition) -> int:
     """Sum of Kronecker tableau counts over alpha |- p inside lam and nu;
     an upper bound for g_{(n-p,p),lam,nu}, exact when lam_1 >= 2p-1."""
+    check_partition(lam)
+    check_partition(nu)
     if sum(lam) != sum(nu):
         raise DomainError(f"|{lam}| != |{nu}|")
     return _tableau_sum(lam, nu, p)

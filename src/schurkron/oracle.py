@@ -38,6 +38,7 @@ from .partitions import (
     DomainError,
     InvariantError,
     Partition,
+    check_partition,
     check_tworow_args,
     conjugate,
     enumerate_partitions,
@@ -203,6 +204,8 @@ def oracle_character_kron(lam: Partition, mu: Partition) -> SchurExpansion:
     """Full expansion of s_lam * s_mu from the triple character sum: one
     multiply-add of a packed column per class, then the signed base-2^shift
     digits of the total are n! g_nu in the order of the partitions."""
+    check_partition(lam)
+    check_partition(mu)
     n = sum(lam)
     if sum(mu) != n:
         raise DomainError(f"size mismatch: |{lam}| != |{mu}|")
@@ -235,6 +238,8 @@ def oracle_character_kron(lam: Partition, mu: Partition) -> SchurExpansion:
 
 def oracle_character_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Single Kronecker coefficient g_{lam,mu,nu} from the character sum."""
+    for shape in (lam, mu, nu):
+        check_partition(shape)
     n = sum(lam)
     if sum(mu) != n or sum(nu) != n:
         raise DomainError("all three partitions must have the same size")

@@ -7,6 +7,7 @@ so formulas never need explicit zero padding.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, NamedTuple
 
 Partition = tuple[int, ...]
@@ -33,11 +34,17 @@ def partition(parts: Iterable[int]) -> Partition:
     p = tuple(int(x) for x in parts)
     while p and p[-1] == 0:
         p = p[:-1]
-    if any(x <= 0 for x in p):
-        raise ValueError(f"parts must be positive: {p!r}")
-    if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
-        raise ValueError(f"parts must be weakly decreasing: {p!r}")
+    check_partition(p)
     return p
+
+
+def check_partition(lam: Partition) -> None:
+    """Raise DomainError unless the parts are positive and weakly decreasing:
+    one pass over the parts (each at least the next, the last above 0)."""
+    if lam and (lam[-1] <= 0 or not all(map(operator.ge, lam, lam[1:]))):
+        raise DomainError(
+            f"{tuple(lam)} is not a partition: parts must be positive and weakly decreasing"
+        )
 
 
 def part(lam: Partition, i: int) -> int:
@@ -171,8 +178,10 @@ def skew_shape(outer: Partition, inner: Partition) -> SkewShape:
 
 
 def check_tworow_args(n: int, p: int, *shapes: Partition) -> None:
-    """Raise DomainError unless 0 <= 2p <= n and every shape weighs n."""
+    """Raise DomainError unless 0 <= 2p <= n and every shape is a partition
+    of n."""
     for lam in shapes:
+        check_partition(lam)
         if sum(lam) != n:
             raise DomainError(f"{lam} is not a partition of {n}")
     if p < 0 or 2 * p > n:

@@ -8,14 +8,12 @@ import time
 from schurkron import (
     enumerate_partitions,
     dimension,
-    hook_coeff,
     is_multiplicity_free,
     kron_coeff,
     kron_expand_tworow,
     kron_upper_bound,
     kronecker_tableau_count,
     lr_coefficient,
-    nu_double_pair_coeff,
     oracle_character_coeff,
     oracle_character_kron,
     oracle_tworow_signed_coeff,
@@ -24,12 +22,12 @@ from schurkron import (
     positivity_diff,
     skew_expand,
     contains,
-    tworow_target_coeff,
     tworow_tworow_coeff,
     tworow_tworow_sequence,
 )
 from schurkron.formulas import _direct_mfree
 from schurkron.kronecker import two_row
+from schurkron.verify import suite_formulas, suite_oracles, suite_theorem
 
 
 def _report(number, detail):
@@ -72,23 +70,20 @@ def test_criterion_03_bound_strictness():
 
 def test_criterion_04_rule_exact_on_its_domain():
     start = time.perf_counter()
-    cases = 0
+    # the verify suite compares the rule with the signed oracle for 1 <= n <= 12
+    cases, mismatches = suite_theorem(12, 4)
+    assert (cases, mismatches) == (1100, [])
+    rule = kron_expand_tworow(0, 0, ())
+    assert rule.expansion == oracle_tworow_signed_sum(0, 0, ())
     for n in range(0, 13):
         for p in range(0, min(4, n // 2) + 1):
             for lam in enumerate_partitions(n):
-                if part(lam, 1) < 2 * p - 1 and len(lam) < 2 * p - 1:
-                    continue
-                cases += 1
-                rule = kron_expand_tworow(n, p, lam)
-                assert rule.method in ("tableau_rule", "tableau_rule_conjugate")
-                assert rule.expansion == oracle_tworow_signed_sum(n, p, lam), (
-                    n,
-                    p,
-                    lam,
-                )
+                if part(lam, 1) >= 2 * p - 1 or len(lam) >= 2 * p - 1:
+                    method = kron_expand_tworow(n, p, lam).method
+                    assert method in ("tableau_rule", "tableau_rule_conjugate"), (n, p, lam)
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0
-    _report(4, f"{cases} expansions equal the signed oracle in {elapsed:.1f}s")
+    _report(4, f"{cases + 1} expansions equal the signed oracle in {elapsed:.1f}s")
 
 
 def test_criterion_05_positivity_iff():
@@ -112,14 +107,11 @@ def test_criterion_05_positivity_iff():
 
 def test_criterion_06_oracle_cross_agreement():
     start = time.perf_counter()
-    cases = 0
-    for n in range(0, 13):
-        for p in range(0, n // 2 + 1):
-            for lam in enumerate_partitions(n):
-                cases += 1
-                assert oracle_tworow_signed_sum(n, p, lam) == (
-                    oracle_character_kron(two_row(n, p), lam)
-                ), (n, p, lam)
+    # the verify suite compares the two oracles for 1 <= n <= 12 and every p
+    cases, mismatches = suite_oracles(12, 6)
+    assert (cases, mismatches) == (1538, [])
+    assert oracle_tworow_signed_sum(0, 0, ()) == oracle_character_kron(two_row(0, 0), ())
+    cases += 1
     dims = 0
     for n in range(1, 11):
         lams = list(enumerate_partitions(n))
@@ -160,53 +152,12 @@ def test_criterion_07_multiplicity_free_classifications():
 
 def test_criterion_08_formula_grids():
     start = time.perf_counter()
-    hooks = tworows = nus = cross = 0
-    for n in range(2, 15):
-        for p in range(1, min(4, n // 2) + 1):
-            for s in range(1, n):
-                if n - s < 2 * p - 1:
-                    continue
-                lam = (n - s,) + (1,) * s
-                expansion = kron_expand_tworow(n, p, lam).expansion
-                for nu in enumerate_partitions(n):
-                    assert hook_coeff(n, p, s, nu) == expansion[nu], (n, p, s, nu)
-                    hooks += 1
-            for lam in enumerate_partitions(n, max_length=4):
-                if part(lam, 1) < 2 * p - 1:
-                    continue
-                for t in range(n // 2 + 1):
-                    nu = (n - t, t) if t else (n,)
-                    assert tworow_target_coeff(n, p, lam, t) == (
-                        kron_coeff(n, p, lam, nu).value
-                    ), (n, p, lam, t)
-                    tworows += 1
-            for s in range(n // 2 + 1):
-                if n - s < 2 * p - 1:
-                    continue
-                two = (n - s, s) if s else (n,)
-                for t in range(n // 2 + 1):
-                    assert tworow_tworow_coeff(n, p, s, t) == (
-                        tworow_target_coeff(n, p, two, t)
-                    ), (n, p, s, t)
-                    cross += 1
-        for p in range(2, min(5, n // 2) + 1):
-            for s in range(1, n // 2 + 1):
-                if n - s < 2 * p - 1:
-                    continue
-                for nu in enumerate_partitions(n, max_length=4):
-                    if len(nu) != 4 or nu[2] != nu[3]:
-                        continue
-                    assert nu_double_pair_coeff(n, p, s, nu) == (
-                        kron_coeff(n, p, (n - s, s), nu).value
-                    ), (n, p, s, nu)
-                    nus += 1
+    # hook, two-row, cross, nu334, p1 and rect-p2 formulas against the rule
+    cases, mismatches = suite_formulas(14, 5)
+    assert (cases, mismatches) == (2722, [])
     elapsed = time.perf_counter() - start
     assert elapsed < 900.0
-    _report(
-        8,
-        f"{hooks} hook, {tworows} two-row, {cross} cross, {nus} nu334 "
-        f"formula values in {elapsed:.1f}s",
-    )
+    _report(8, f"{cases} formula cases (n <= 14, p <= 5) equal the rule in {elapsed:.1f}s")
 
 
 def test_criterion_09_unimodality_and_pattern():

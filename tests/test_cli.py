@@ -2,18 +2,31 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import schurkron
+from schurkron import verify
 from schurkron.cli import main
+from schurkron.partitions import enumerate_partitions
 from schurkron.verify import WorkerCountError, worker_count
 
 EXE = [sys.executable, "-m", "schurkron.cli"]
+# the child processes import the same schurkron as this one
+SRC = str(Path(schurkron.__file__).resolve().parent.parent)
+ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))),
+}
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parent.parent / "bench" / "golden.json").read_text()
+)
 
 
 def run_cli(*args):
     proc = subprocess.run(
-        EXE + list(args), capture_output=True, text=True, timeout=300
+        EXE + list(args), capture_output=True, text=True, timeout=300, env=ENV
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -195,7 +208,7 @@ class TestDeterminism:
                 capture_output=True,
                 text=True,
                 timeout=300,
-                env={**os.environ, "SCHURKRON_WORKERS": workers},
+                env={**ENV, "SCHURKRON_WORKERS": workers},
             )
             results.append((proc.returncode, proc.stdout))
         assert results[0] == results[1]
@@ -207,7 +220,7 @@ class TestDeterminism:
             capture_output=True,
             text=True,
             timeout=300,
-            env={**os.environ, "SCHURKRON_WORKERS": "abc"},
+            env={**ENV, "SCHURKRON_WORKERS": "abc"},
         )
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr.count("\n") == 1 and "SCHURKRON_WORKERS" in proc.stderr
@@ -234,3 +247,95 @@ class TestMainEntry:
     def test_unknown_command_exits_2(self):
         rc, _, _ = run_cli("nosuch")
         assert rc == 2
+
+
+def run_main(capsys, *args):
+    """Exit code and stdout of one in-process ``main`` call."""
+    capsys.readouterr()
+    code = main(list(args))
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "entry", GOLDEN["cli"], ids=[f"{i:02d}-{e['kind']}" for i, e in enumerate(GOLDEN["cli"])]
+)
+def test_golden_stdout(entry, capsys):
+    code, out = run_main(capsys, *entry["argv"])
+    assert code in entry["codes"]
+    assert out == entry["stdout"]
+
+
+MFREE_SWEEP_8_2 = (
+    "# mfree-sweep n=8 p=2\n8 : true (thm_p2)\n7,1 : true (thm_p2)\n"
+    "6,2 : false (thm_p2)\n6,1,1 : false (thm_p2)\n5,3 : false (thm_p2)\n"
+    "5,2,1 : false (thm_p2)\n5,1,1,1 : false (thm_p2)\n4,4 : true (thm_p2)\n"
+    "4,3,1 : false (thm_p2)\n4,2,2 : false (thm_p2)\n4,2,1,1 : false (thm_p2)\n"
+    "4,1,1,1,1 : false (thm_p2)\n3,3,2 : false (thm_p2)\n3,3,1,1 : false (thm_p2)\n"
+    "3,2,2,1 : false (thm_p2)\n3,2,1,1,1 : false (thm_p2)\n"
+    "3,1,1,1,1,1 : false (thm_p2)\n2,2,2,2 : true (thm_p2)\n"
+    "2,2,2,1,1 : false (thm_p2)\n2,2,1,1,1,1 : false (thm_p2)\n"
+    "2,1,1,1,1,1,1 : true (thm_p2)\n1,1,1,1,1,1,1,1 : true (thm_p2)\n"
+)
+FREE_8_2 = {(8,), (7, 1), (4, 4), (2, 2, 2, 2), (2, 1, 1, 1, 1, 1, 1), (1,) * 8}
+
+
+class TestPinnedStdout:
+    """Byte-exact stdout for the commands that bench/golden.json leaves out."""
+
+    def test_mfree_sweep_plain(self, capsys):
+        assert run_main(capsys, "mfree", "--sweep", "8", "2") == (0, MFREE_SWEEP_8_2)
+
+    def test_mfree_sweep_json(self, capsys):
+        results = ",".join(
+            '{"lambda":[%s],"multiplicity_free":%s,"source":"thm_p2"}'
+            % (",".join(map(str, lam)), "true" if lam in FREE_8_2 else "false")
+            for lam in enumerate_partitions(8)
+        )
+        want = '{"command":"mfree-sweep","n":8,"p":2,"results":[%s]}\n' % results
+        assert run_main(capsys, "mfree", "--sweep", "8", "2", "--json") == (0, want)
+
+    def test_verify_plain(self, capsys, monkeypatch):
+        monkeypatch.setenv("SCHURKRON_WORKERS", "1")
+        want = "# verify suite=theorem nmax=7 pmax=2\nchecked 124 cases: all equal\n"
+        assert run_main(capsys, "verify", "--grid", "7", "2") == (0, want)
+
+    def test_verify_json(self, capsys, monkeypatch):
+        monkeypatch.setenv("SCHURKRON_WORKERS", "1")
+        want = (
+            '{"command":"verify","suite":"oracles","nmax":6,"pmax":2,'
+            '"checked":80,"ok":true}\n'
+        )
+        got = run_main(capsys, "verify", "--grid", "6", "2", "--suite", "oracles", "--json")
+        assert got == (0, want)
+
+
+MISMATCHES = [
+    "n=3 p=1 lam=(2, 1): rule (tableau_rule) != signed oracle",
+    "n=4 p=2 lam=(2, 2): rule (tableau_rule_conjugate) != signed oracle",
+]
+
+
+class TestVerifyFailure:
+    """A suite that reports mismatches makes ``verify`` exit 4."""
+
+    @pytest.fixture(autouse=True)
+    def failing_suite(self, monkeypatch):
+        monkeypatch.setitem(verify.SUITES, "theorem", lambda nmax, pmax: (5, MISMATCHES))
+
+    def test_plain(self, capsys):
+        want = (
+            "# verify suite=theorem nmax=4 pmax=2\n"
+            "MISMATCH n=3 p=1 lam=(2, 1): rule (tableau_rule) != signed oracle\n"
+            "MISMATCH n=4 p=2 lam=(2, 2): rule (tableau_rule_conjugate) != signed oracle\n"
+            "2 mismatches in 5 cases\n"
+        )
+        assert run_main(capsys, "verify", "--grid", "4", "2") == (4, want)
+
+    def test_json(self, capsys):
+        want = (
+            '{"command":"verify","suite":"theorem","nmax":4,"pmax":2,"checked":5,'
+            '"ok":false,"mismatches":["n=3 p=1 lam=(2, 1): rule (tableau_rule) '
+            '!= signed oracle","n=4 p=2 lam=(2, 2): rule (tableau_rule_conjugate) '
+            '!= signed oracle"]}\n'
+        )
+        assert run_main(capsys, "verify", "--grid", "4", "2", "--json") == (4, want)

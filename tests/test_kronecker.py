@@ -19,6 +19,7 @@ from schurkron import (
     kron_upper_bound,
     kronecker_tableau_count,
     oracle_character_coeff,
+    oracle_character_kron,
     oracle_tworow_signed_coeff,
     oracle_tworow_signed_sum,
     part,
@@ -194,6 +195,39 @@ class TestUpperBound:
                     expansion = oracle_tworow_signed_sum(n, p, lam)
                     for nu in enumerate_partitions(n):
                         assert kron_upper_bound(p, lam, nu) >= expansion[nu]
+
+
+# each entry point with every shape slot filled by a bad shape of size 5
+NON_PARTITION_CALLS = {
+    "kron_coeff-lam": lambda bad: kron_coeff(5, 1, bad, (3, 2)),
+    "kron_coeff-nu": lambda bad: kron_coeff(5, 1, (3, 2), bad),
+    "kron_expand_tworow": lambda bad: kron_expand_tworow(5, 1, bad),
+    "signed_sum": lambda bad: oracle_tworow_signed_sum(5, 1, bad),
+    "signed_coeff-lam": lambda bad: oracle_tworow_signed_coeff(5, 1, bad, (3, 2)),
+    "signed_coeff-nu": lambda bad: oracle_tworow_signed_coeff(5, 1, (3, 2), bad),
+    "upper_bound-lam": lambda bad: kron_upper_bound(1, bad, (3, 2)),
+    "upper_bound-nu": lambda bad: kron_upper_bound(1, (3, 2), bad),
+    "character_kron-lam": lambda bad: oracle_character_kron(bad, (4, 1)),
+    "character_kron-mu": lambda bad: oracle_character_kron((4, 1), bad),
+    "character_coeff-lam": lambda bad: oracle_character_coeff(bad, (4, 1), (3, 2)),
+    "character_coeff-mu": lambda bad: oracle_character_coeff((4, 1), bad, (3, 2)),
+    "character_coeff-nu": lambda bad: oracle_character_coeff((4, 1), (3, 2), bad),
+}
+
+
+class TestNonPartitions:
+    @pytest.mark.parametrize("bad", [(2, 3), (3, 0, 2), (6, -1), (4, 1, 0), (1, 2, 2)])
+    @pytest.mark.parametrize("call", NON_PARTITION_CALLS.values(), ids=NON_PARTITION_CALLS)
+    def test_domain_error(self, call, bad):
+        with pytest.raises(DomainError, match="not a partition"):
+            call(bad)
+
+    def test_reported_wrong_answers_now_refused(self):
+        # both used to return a value for the reversed shape (2,3)
+        with pytest.raises(DomainError):
+            kron_coeff(5, 1, (2, 3), (3, 2))
+        with pytest.raises(DomainError):
+            kron_expand_tworow(5, 1, (2, 3))
 
 
 class TestLengthBound:

@@ -1,11 +1,14 @@
 """Exact Kronecker products of Schur functions with a two-row factor.
 
-The coefficient of s_nu in s_{(n-p,p)} * s_lam is computed by counting
-Kronecker tableaux whenever lam_1 >= 2p-1 or l(lam) >= 2p-1, cross-checked
-against a signed skew-product oracle and a symmetric group character oracle,
-with closed formulas and multiplicity-freeness classifications on top.
+The expansion of s_{(n-p,p)} * s_lam is computed by counting Kronecker
+tableaux whenever lam_1 >= 2p-1 or l(lam) >= 2p-1, and a single coefficient
+by composing Littlewood-Richardson numbers, cross-checked against the
+tableau rule, a signed skew-product oracle and a symmetric group character
+oracle, with closed formulas and multiplicity-freeness classifications on
+top.
 """
 
+from . import oracle, tableaux
 from .expansion import SchurExpansion
 from .formulas import (
     MfreeVerdict,
@@ -79,6 +82,20 @@ from .tableaux import (
 
 __version__ = "0.1.0"
 
+
+def clear_caches() -> None:
+    """Empty every memo in the package, so that the next call computes
+    afresh (for timing, or before patching an engine underneath a cache)."""
+    for cache in (
+        tableaux._cells,
+        tableaux._count_fillings,
+        oracle._signed_coeff,
+        oracle._mn,
+        oracle._char_table,
+    ):
+        cache.cache_clear()
+
+
 __all__ = [
     "CycleType",
     "DomainError",
@@ -96,6 +113,7 @@ __all__ = [
     "SkewShape",
     "Tableau",
     "centralizer_order",
+    "clear_caches",
     "conjugate",
     "contains",
     "count_ssyt_alpha_lattice",

@@ -27,6 +27,7 @@ from .formulas import TworowSequence, is_multiplicity_free
 from .kronecker import (
     METHOD_CONJUGATE,
     METHOD_ROWS,
+    _rule_coeff,
     kron_coeff,
     kron_expand_tworow,
     kron_upper_bound,
@@ -104,8 +105,9 @@ def _cmd_kron(args):
     names = ("n", "p", "lam") if args.nu is None else ("n", "p", "lam", "nu")
     record, (n, p, *shapes) = _read(args, names, command="kron")
     if args.method in ("auto", "theorem"):
-        rule = kron_expand_tworow if args.nu is None else kron_coeff
-        result = rule(n, p, *shapes)
+        # a theorem coefficient counts the paper's tableaux, auto's composes LR numbers
+        single = _rule_coeff if args.method == "theorem" else kron_coeff
+        result = (kron_expand_tworow if args.nu is None else single)(n, p, *shapes)
         if args.method == "theorem" and result.method not in (METHOD_ROWS, METHOD_CONJUGATE):
             raise DomainError(f"tableau rule needs lam_1 >= {2 * p - 1} or l(lam) >= {2 * p - 1}")
         method = result.method

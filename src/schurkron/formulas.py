@@ -24,6 +24,7 @@ from .partitions import (
     Partition,
     addable_rows,
     add_box,
+    check_partition,
     conjugate,
     enumerate_partitions,
     part,
@@ -45,6 +46,7 @@ def descent_count(lam: Partition) -> int:
 def p1_expand(lam: Partition) -> SchurExpansion:
     """s_{(n-1,1)} * s_lam: C(lam) copies of lam plus one copy of every other
     partition reachable by removing a box and adding a box."""
+    check_partition(lam)
     n = sum(lam)
     if n < 2:
         raise DomainError("need |lam| >= 2")
@@ -99,6 +101,7 @@ def is_multiplicity_free(n: int, p: int, lam: Partition) -> MfreeVerdict:
     n; p=2 for n>=6; p=3 for n>16; p>=4 for n>(2p-2)^2) and by direct
     computation elsewhere, attaching a witness when the answer is no.
     """
+    check_partition(lam)
     if sum(lam) != n:
         raise DomainError(f"{lam} is not a partition of {n}")
     if p < 1 or 2 * p > n:
@@ -176,6 +179,7 @@ def hook_coeff(n: int, p: int, s: int, nu: Partition) -> int:
     Nonzero values occur only at hooks and double hooks; the case table keys
     on nu_2 against p and on nu_1 within its four-wide window.
     """
+    check_partition(nu)
     if not 1 <= s <= n - 1:
         raise DomainError(f"need 1 <= s <= n-1, got s={s}")
     if p < 1:
@@ -265,6 +269,7 @@ def tworow_target_coeff(n: int, p: int, lam: Partition, t: int) -> int:
     Zero when lam has more than four rows; otherwise an indicator a_p plus
     two window sums over the second row length l of alpha = (p-l,l).
     """
+    check_partition(lam)
     if sum(lam) != n:
         raise DomainError(f"{lam} is not a partition of {n}")
     if p < 1:
@@ -373,7 +378,7 @@ def tworow_tworow_sequence(n: int, p: int, s: int) -> TworowSequence:
     t = s-p .. s+p.
 
     Each entry uses the closed formula where its hypothesis n-t >= 2s-1
-    holds and falls back to the tableau rule elsewhere; t beyond n/2 indexes
+    holds and falls back to ``kron_coeff`` elsewhere; t beyond n/2 indexes
     no partition and contributes 0.
     """
     if p < 1 or p > s - 1:
@@ -399,6 +404,7 @@ def tworow_tworow_sequence(n: int, p: int, s: int) -> TworowSequence:
 def nu_double_pair_coeff(n: int, p: int, s: int, nu: Partition) -> int:
     """Coefficient of s_nu in s_{(n-p,p)} * s_{(n-s,s)} for four-row nu with
     nu_3 == nu_4 >= 1; identically 0 when p <= 1."""
+    check_partition(nu)
     if len(nu) != 4 or nu[2] != nu[3]:
         raise DomainError(f"nu must be (nu1,nu2,nu3,nu3) with nu3 >= 1: {nu}")
     if sum(nu) != n:

@@ -8,6 +8,13 @@ of Kronecker tableaux summed over alpha |- p inside the intersection of lam
 and nu; when l(lam) >= 2p-1 the same rule applies to the conjugates.  Outside
 both ranges the signed-sum oracle is used, and the alpha-sum is still an
 upper bound.
+
+The full expansion runs the rule.  A single coefficient is computed by
+composing Littlewood-Richardson numbers on skew shapes of at most p cells
+(``oracle_tworow_signed_coeff``): for one nu that is far less work than the
+rule, and its walks do not deepen with n.  The method tag still names the
+theorem that makes the value exact, and ``_rule_coeff`` keeps the rule's own
+single coefficient as the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .expansion import SchurExpansion
+from .oracle import oracle_tworow_signed_coeff, oracle_tworow_signed_sum
 from .partitions import (
     DomainError,
     Partition,
@@ -100,8 +108,6 @@ def kron_expand_tworow(n: int, p: int, lam: Partition) -> KronExpansion:
     check_tworow_args(n, p, lam)
     method, work = _route(p, lam)
     if method == METHOD_ORACLE:
-        from .oracle import oracle_tworow_signed_sum
-
         return KronExpansion(oracle_tworow_signed_sum(n, p, lam), method)
     buckets: dict[Partition, int] = {}
     for alpha in enumerate_partitions(p, inside=work):
@@ -113,12 +119,20 @@ def kron_expand_tworow(n: int, p: int, lam: Partition) -> KronExpansion:
 
 def kron_coeff(n: int, p: int, lam: Partition, nu: Partition) -> KronResult:
     """Single coefficient of s_nu in s_{(n-p,p)} * s_lam with its method tag
-    and the tableau-count upper bound (the rule's sum on lam itself)."""
+    and the tableau-count upper bound (the rule's sum on lam itself).  The
+    value comes from LR composition on every route."""
+    value = oracle_tworow_signed_coeff(n, p, lam, nu)  # checks the arguments
+    method, _ = _route(p, lam)
+    upper = value if method == METHOD_ROWS else _tableau_sum(lam, nu, p)
+    return KronResult(value, method, upper)
+
+
+def _rule_coeff(n: int, p: int, lam: Partition, nu: Partition) -> KronResult:
+    """``kron_coeff`` with the value counted by the tableau rule on its
+    routes: the paper's theorem as the reference for LR composition."""
     check_tworow_args(n, p, lam, nu)
     method, work = _route(p, lam)
     if method == METHOD_ORACLE:
-        from .oracle import oracle_tworow_signed_coeff
-
         value = oracle_tworow_signed_coeff(n, p, lam, nu)
     else:
         work_nu = nu if method == METHOD_ROWS else conjugate(nu)

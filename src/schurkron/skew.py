@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .expansion import SchurExpansion
-from .partitions import DomainError, Partition, SkewShape, contains, part
+from .partitions import DomainError, Partition, SkewShape, check_partition, contains, part
 from .tableaux import _expand_fillings
 
 
@@ -30,6 +30,8 @@ def reverse_lex_filling(mu: Partition) -> tuple[tuple[int, ...], ...]:
 
 def skew_expand(lam: Partition, mu: Partition) -> SchurExpansion:
     """Expansion of s_{lam/mu} in the Schur basis via label placement."""
+    check_partition(lam)
+    check_partition(mu)
     if not contains(mu, lam):
         raise DomainError(f"{mu} is not contained in {lam}")
     total = sum(mu)
@@ -97,6 +99,8 @@ def skew_expand(lam: Partition, mu: Partition) -> SchurExpansion:
 def min_lex_term(lam: Partition, alpha: Partition) -> Partition:
     """The lex-smallest partition in the expansion of s_{lam/alpha}: the row
     differences lam_i - alpha_i sorted into decreasing order."""
+    check_partition(lam)
+    check_partition(alpha)
     if not contains(alpha, lam):
         raise DomainError(f"{alpha} is not contained in {lam}")
     diffs = sorted(
@@ -128,6 +132,8 @@ def skew_times_alpha(lam: Partition, alpha: Partition) -> SchurExpansion:
     nu - alpha whose reverse reading word is an alpha-lattice permutation;
     the enumeration buckets every such filling by its type plus alpha.
     """
+    check_partition(lam)
+    check_partition(alpha)
     if not contains(alpha, lam):
         raise DomainError(f"{alpha} is not contained in {lam}")
     return SchurExpansion(_expand_fillings(lam, alpha, alpha, kron=False))
@@ -142,6 +148,8 @@ def positivity_diff(lam: Partition, alpha: Partition) -> PositivityResult:
     """Expand s_{lam/alpha} s_alpha - s_{lam/alpha^-} s_alpha^- where alpha^-
     drops one box from the first row; the difference is Schur positive exactly
     when lam_1 >= 2 alpha_1 - 1."""
+    check_partition(lam)
+    check_partition(alpha)
     if not alpha:
         raise DomainError("alpha must be non-empty")
     if part(alpha, 1) == part(alpha, 2):

@@ -32,7 +32,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
-from .partitions import Partition, SkewShape, contains, part
+from .partitions import Partition, SkewShape, check_partition, contains, part
 
 
 class Tableau(NamedTuple):
@@ -237,7 +237,13 @@ def _fill(
     return buckets
 
 
-@lru_cache(maxsize=None)
+COUNT_CACHE = 16384
+"""Counts kept by ``_count_fillings``.  A stream of 1500 single coefficients
+on n <= 36 (their non-rows upper bounds) leaves about 1.4k entries, and full
+expansions leave none, so the bound only caps memory."""
+
+
+@lru_cache(maxsize=COUNT_CACHE)
 def _count_fillings(
     outer: Partition,
     inner: Partition,
@@ -294,9 +300,10 @@ def count_ssyt_alpha_lattice(
     return _count_fillings(shape.outer, shape.inner, nu, alpha, False)
 
 
-@lru_cache(maxsize=None)
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Littlewood-Richardson coefficient c^lam_{mu nu}."""
+    for shape in (lam, mu, nu):
+        check_partition(shape)
     if sum(lam) != sum(mu) + sum(nu) or not contains(mu, lam):
         return 0
     return _count_fillings(lam, mu, nu, (), False)

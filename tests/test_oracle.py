@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from schurkron import (
     DomainError,
     InvariantError,
     centralizer_order,
+    clear_caches,
     conjugate,
     cycle_types,
     dimension,
@@ -19,7 +21,7 @@ from schurkron import (
     oracle_tworow_signed_coeff,
     oracle_tworow_signed_sum,
 )
-from schurkron import oracle
+from schurkron import oracle, tableaux
 from schurkron.kronecker import two_row
 
 
@@ -217,6 +219,13 @@ class TestSignedSum:
 class TestInvariantErrors:
     """Broken invariants raise InvariantError, which ``python -O`` keeps."""
 
+    @pytest.fixture(autouse=True)
+    def fresh_caches(self):
+        # a memoised answer from an earlier test would hide the injected fault
+        clear_caches()
+        yield
+        clear_caches()
+
     def test_signed_sum_going_negative(self, monkeypatch):
         # count only the subtracted beta |- p-1 terms
         def fake(outer, inner, alpha, kron, out=None, cap=None):
@@ -273,3 +282,33 @@ class TestInvariantErrors:
         monkeypatch.setattr(oracle, "_char_table", lambda n: table)
         with pytest.raises(InvariantError, match="carry"):
             oracle_character_kron((2,), (2,))
+
+
+def _package_caches():
+    return {
+        f"{name.removeprefix('schurkron.')}.{attr}": value
+        for name, module in list(sys.modules.items())
+        if name.startswith("schurkron.")
+        for attr, value in vars(module).items()
+        if hasattr(value, "cache_info") and value.__module__ == name
+    }
+
+
+class TestCaches:
+    def test_clear_caches_empties_every_cache(self):
+        oracle_tworow_signed_coeff(15, 3, (6, 4, 4, 1), (5, 4, 3, 3))
+        oracle_character_coeff((12, 3), (6, 4, 4, 1), (5, 4, 3, 3))
+        tableaux._count_fillings((4, 3), (2,), (4, 3), (2,), True)
+        caches = _package_caches()
+        assert {"oracle._signed_coeff", "tableaux._count_fillings", "oracle._mn"} <= set(caches)
+        assert any(c.cache_info().currsize for c in caches.values())
+        clear_caches()
+        assert {name: c.cache_info().currsize for name, c in caches.items()} == dict.fromkeys(caches, 0)
+
+    def test_single_coefficients_are_memoised_within_a_bound(self):
+        assert oracle._signed_coeff.cache_info().maxsize == oracle.SIGNED_COEFF_CACHE
+        assert tableaux._count_fillings.cache_info().maxsize == tableaux.COUNT_CACHE
+        clear_caches()
+        first = oracle_tworow_signed_coeff(15, 3, [6, 4, 4, 1], (5, 4, 3, 3))
+        assert oracle_tworow_signed_coeff(15, 3, (6, 4, 4, 1), [5, 4, 3, 3]) == first == 4
+        assert oracle._signed_coeff.cache_info().hits == 1

@@ -8,7 +8,7 @@ oracle, with closed formulas and multiplicity-freeness classifications on
 top.
 """
 
-from . import oracle, tableaux
+from . import kronecker, oracle, tableaux
 from .expansion import SchurExpansion
 from .formulas import (
     MfreeVerdict,
@@ -88,8 +88,7 @@ def clear_caches() -> None:
     afresh (for timing, or before patching an engine underneath a cache)."""
     for cache in (
         tableaux._cells,
-        tableaux._count_fillings,
-        oracle._signed_coeff,
+        kronecker._kron_coeff,
         oracle._mn,
         oracle._char_table,
     ):

@@ -19,6 +19,7 @@ from .kronecker import (
     _tableau_sum,
     kron_coeff,
 )
+from .oracle import oracle_tworow_signed_sum
 from .partitions import (
     DomainError,
     Partition,
@@ -85,8 +86,6 @@ def _direct_mfree(n: int, p: int, lam: Partition) -> tuple[bool, tuple | None]:
             witness_nu = conjugate(hit.nu) if method == METHOD_CONJUGATE else hit.nu
             return False, (witness_nu, _tableau_sum(work, hit.nu, p))
         return True, None
-    from .oracle import oracle_tworow_signed_sum
-
     expansion = oracle_tworow_signed_sum(n, p, lam)
     for nu, c in expansion.items_desc():
         if c >= 2:

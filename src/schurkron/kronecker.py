@@ -14,11 +14,14 @@ composing Littlewood-Richardson numbers on skew shapes of at most p cells
 (``oracle_tworow_signed_coeff``): for one nu that is far less work than the
 rule, and its walks do not deepen with n.  The method tag still names the
 theorem that makes the value exact, and ``_rule_coeff`` keeps the rule's own
-single coefficient as the reference it is tested against.
+single coefficient as the reference it is tested against.  ``kron_coeff``
+keeps its whole answers, value, tag and bound, in one bounded memo; the
+engines underneath it are uncached.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .expansion import SchurExpansion
@@ -117,11 +120,26 @@ def kron_expand_tworow(n: int, p: int, lam: Partition) -> KronExpansion:
     return KronExpansion(SchurExpansion(buckets), method)
 
 
+KRON_COEFF_CACHE = 4096
+"""Answers kept by ``kron_coeff``, the package's one memo of single
+coefficients.  A repeated query then costs a lookup instead of a new
+composition and bound, and the memory stays bounded however many distinct
+queries a process makes."""
+
+
 def kron_coeff(n: int, p: int, lam: Partition, nu: Partition) -> KronResult:
     """Single coefficient of s_nu in s_{(n-p,p)} * s_lam with its method tag
     and the tableau-count upper bound (the rule's sum on lam itself).  The
-    value comes from LR composition on every route."""
-    value = oracle_tworow_signed_coeff(n, p, lam, nu)  # checks the arguments
+    value comes from LR composition on every route; the last
+    KRON_COEFF_CACHE distinct answers are kept."""
+    check_tworow_args(n, p, lam, nu)
+    return _kron_coeff(n, p, tuple(lam), tuple(nu))
+
+
+@lru_cache(maxsize=KRON_COEFF_CACHE)
+def _kron_coeff(n: int, p: int, lam: Partition, nu: Partition) -> KronResult:
+    """``kron_coeff`` on checked arguments, memoised."""
+    value = oracle_tworow_signed_coeff(n, p, lam, nu)
     method, _ = _route(p, lam)
     upper = value if method == METHOD_ROWS else _tableau_sum(lam, nu, p)
     return KronResult(value, method, upper)

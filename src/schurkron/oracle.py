@@ -10,8 +10,8 @@ come from removing |lam & nu| - (n - |a|) <= |a| boxes of the intersection,
 and one walk of lam/mu and one of nu/mu, each of only |a| cells, give c_{mu a}
 for every a at once.  Walking lam/a instead costs far more when only one nu is
 wanted, and its depth grows with n.  This composition is what
-``kronecker.kron_coeff`` runs on every route; its results are kept in a
-cache of SIGNED_COEFF_CACHE entries.  The full expansion keeps the walk of
+``kronecker.kron_coeff`` runs on every route, whose memo keeps the answers;
+this function itself is uncached.  The full expansion keeps the walk of
 lam/a because it needs every nu, and there composing LR numbers is several
 times slower.
 
@@ -87,23 +87,12 @@ def oracle_tworow_signed_sum(n: int, p: int, lam: Partition) -> SchurExpansion:
     return SchurExpansion(acc)
 
 
-SIGNED_COEFF_CACHE = 4096
-"""Single coefficients kept by ``_signed_coeff``.  A repeated query then
-costs a lookup instead of a new composition, and the memory stays bounded
-however many distinct queries a process makes."""
-
-
 def oracle_tworow_signed_coeff(n: int, p: int, lam: Partition, nu: Partition) -> int:
     """Single coefficient of s_nu in s_{(n-p,p)} * s_lam, same signed sum
     composed from Littlewood-Richardson numbers on skew shapes of at most p
     cells."""
     check_tworow_args(n, p, lam, nu)
-    return _signed_coeff(n, p, tuple(lam), tuple(nu))
-
-
-@lru_cache(maxsize=SIGNED_COEFF_CACHE)
-def _signed_coeff(n: int, p: int, lam: Partition, nu: Partition) -> int:
-    """``oracle_tworow_signed_coeff`` on checked arguments, memoised."""
+    lam, nu = tuple(lam), tuple(nu)
     inter = intersect(lam, nu)
     surplus = sum(inter) - (n - p)
     if surplus < 0:

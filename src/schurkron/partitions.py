@@ -94,26 +94,38 @@ def enumerate_partitions(
     max_part: int | None = None,
     inside: Partition | None = None,
 ) -> Iterator[Partition]:
-    """All partitions of n meeting the constraints, in descending lex order."""
+    """All partitions of n meeting the constraints, in descending lex order.
+
+    A depth-first walk on an explicit stack: ``parts`` is the prefix chosen
+    so far and ``nxt[d]`` the next candidate for part d + 1, so the number
+    of parts is not limited by the recursion limit."""
     if n < 0:
         return
+    if n == 0:
+        yield ()
+        return
 
-    def rec(remaining: int, cap: int, depth: int) -> Iterator[Partition]:
-        if remaining == 0:
-            yield ()
-            return
+    def largest(rest: int, cap: int, depth: int) -> int:
         if max_length is not None and depth >= max_length:
-            return
-        bound = min(remaining, cap)
+            return 0
         if inside is not None:
-            if depth >= len(inside):
-                return
-            bound = min(bound, inside[depth])
-        for first in range(bound, 0, -1):
-            for rest in rec(remaining - first, first, depth + 1):
-                yield (first,) + rest
+            cap = min(cap, inside[depth]) if depth < len(inside) else 0
+        return min(rest, cap)
 
-    yield from rec(n, n if max_part is None else min(n, max_part), 0)
+    rest, parts = n, []
+    nxt = [largest(n, n if max_part is None else max_part, 0)]
+    while nxt:
+        v = nxt.pop()
+        if v > 0:
+            nxt.append(v - 1)
+            if v == rest:
+                yield (*parts, v)
+            else:
+                parts.append(v)
+                rest -= v
+                nxt.append(largest(rest, v, len(parts)))
+        elif parts:  # this depth is exhausted: take back the part above it
+            rest += parts.pop()
 
 
 def removable_rows(lam: Partition) -> list[int]:

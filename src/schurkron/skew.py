@@ -39,16 +39,8 @@ def skew_expand(lam: Partition, mu: Partition) -> SchurExpansion:
         return SchurExpansion({lam: 1})
 
     # label positions in the reverse lexicographic filling, 1-based
-    pos: dict[int, tuple[int, int]] = {}
-    starts = [0]
-    for row_len in mu:
-        starts.append(starts[-1] + row_len)
-    for i, row_len in enumerate(mu, start=1):
-        for j in range(1, row_len + 1):
-            pos[starts[i - 1] + row_len - j + 1] = (i, j)
-
-    def label_at(i: int, j: int) -> int:
-        return starts[i - 1] + mu[i - 1] - j + 1
+    filling = reverse_lex_filling(mu)
+    pos = {x: (i, j) for i, row in enumerate(filling, 1) for j, x in enumerate(row, 1)}
 
     lmu = len(mu)
     placed: dict[int, tuple[int, int]] = {}
@@ -68,13 +60,13 @@ def skew_expand(lam: Partition, mu: Partition) -> SchurExpansion:
         l_max = 10**9
         # ... strictly left of and weakly below the left neighbour ...
         if j > 1:
-            pl, pm = placed[label_at(i, j - 1)]
+            pl, pm = placed[filling[i - 1][j - 2]]
             if pl > l_min:
                 l_min = pl
             m_max = pm - 1
         # ... strictly above and weakly right of the label underneath.
         if i < lmu and j <= mu[i]:
-            pl, pm = placed[label_at(i + 1, j)]
+            pl, pm = placed[filling[i][j - 1]]
             l_max = pl - 1
             if pm > m_min:
                 m_min = pm

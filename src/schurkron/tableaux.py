@@ -237,13 +237,6 @@ def _fill(
     return buckets
 
 
-COUNT_CACHE = 16384
-"""Counts kept by ``_count_fillings``.  A stream of 1500 single coefficients
-on n <= 36 (their non-rows upper bounds) leaves about 1.4k entries, and full
-expansions leave none, so the bound only caps memory."""
-
-
-@lru_cache(maxsize=COUNT_CACHE)
 def _count_fillings(
     outer: Partition,
     inner: Partition,
@@ -253,7 +246,8 @@ def _count_fillings(
 ) -> int:
     """Number of alpha-lattice SSYT of shape outer/inner and type nu - alpha
     (Kronecker tableaux only when kron=True).  nu must contain alpha row by
-    row but need not be a partition."""
+    row but need not be a partition.  Uncached: a repeated single Kronecker
+    coefficient is answered by the memo of ``kronecker.kron_coeff``."""
     if sum(nu) != sum(outer) - sum(inner) + sum(alpha):
         return 0
     return sum(_fill(outer, inner, alpha, kron, nu).values())

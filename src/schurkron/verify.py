@@ -87,14 +87,11 @@ def _check_formula_case(task) -> str | None:
     elif kind == "tworow":
         n, p, lam = args
         for t in range(0, n // 2 + 1):
-            if (
-                tworow_target_coeff(n, p, lam, t)
-                != kron_coeff(n, p, lam, (n - t, t) if t else (n,)).value
-            ):
+            if tworow_target_coeff(n, p, lam, t) != kron_coeff(n, p, lam, two_row(n, t)).value:
                 return f"tworow n={n} p={p} lam={lam} t={t}"
     elif kind == "tworow2":
         n, p, s = args
-        lam = (n - s, s) if s else (n,)
+        lam = two_row(n, s)
         for t in range(0, n // 2 + 1):
             if tworow_tworow_coeff(n, p, s, t) != tworow_target_coeff(n, p, lam, t):
                 return f"tworow2 n={n} p={p} s={s} t={t}"

@@ -13,6 +13,7 @@ from schurkron import (
     Tableau,
     conjugate,
     contains,
+    dimension,
     enumerate_partitions,
     hook_coeff,
     intersect,
@@ -39,7 +40,7 @@ from schurkron import (
     skew_times_alpha,
     tworow_target_coeff,
 )
-from schurkron.kronecker import _rule_coeff, two_row
+from schurkron.kronecker import _route, _rule_coeff, two_row
 from schurkron.tableaux import _expand_fillings
 
 
@@ -313,6 +314,25 @@ class TestDifferential:
         assert result.value == oracle_character_coeff(two_row(n, p), lam, nu)
         assert result.upper_bound >= result.value
         assert _rule_coeff(n, p, conjugate(lam), conjugate(nu)).value == result.value
+
+    # the smallest p that has each route
+    ROUTE_RANGES = {METHOD_ROWS: 0, METHOD_CONJUGATE: 2, METHOD_ORACLE: 3}
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_expansion_dimension_identity(self, data):
+        # sum over nu of g_nu f^nu = f^{(n-p,p)} f^lam, past the n <= 14 of
+        # the fixed grids, on every route
+        method = data.draw(st.sampled_from(sorted(self.ROUTE_RANGES)))
+        p = data.draw(st.integers(self.ROUTE_RANGES[method], 4))
+        box = 2 * p - 2  # the oracle route's lam fits in a box x box square
+        n = data.draw(st.integers(15, min(24, box * box) if method == METHOD_ORACLE else 24))
+        shapes = [lam for lam in enumerate_partitions(n) if _route(p, lam)[0] == method]
+        lam = data.draw(st.sampled_from(shapes))
+        result = kron_expand_tworow(n, p, lam)
+        assert result.method == method
+        total = sum(c * dimension(nu) for nu, c in result.expansion.items_desc())
+        assert total == dimension(two_row(n, p)) * dimension(lam)
 
 
 def _random_partition(rng, n, rows):

@@ -7,21 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schurkron import (
+    METHOD_ROWS,
     DomainError,
     InvariantError,
+    KronResult,
     centralizer_order,
     clear_caches,
     conjugate,
     cycle_types,
     dimension,
     enumerate_partitions,
+    kron_coeff,
     mn_character,
     oracle_character_coeff,
     oracle_character_kron,
     oracle_tworow_signed_coeff,
     oracle_tworow_signed_sum,
 )
-from schurkron import oracle, tableaux
+from schurkron import kronecker, oracle
 from schurkron.kronecker import two_row
 
 
@@ -296,19 +299,33 @@ def _package_caches():
 
 class TestCaches:
     def test_clear_caches_empties_every_cache(self):
-        oracle_tworow_signed_coeff(15, 3, (6, 4, 4, 1), (5, 4, 3, 3))
+        kron_coeff(15, 3, (6, 4, 4, 1), (5, 4, 3, 3))
         oracle_character_coeff((12, 3), (6, 4, 4, 1), (5, 4, 3, 3))
-        tableaux._count_fillings((4, 3), (2,), (4, 3), (2,), True)
         caches = _package_caches()
-        assert {"oracle._signed_coeff", "tableaux._count_fillings", "oracle._mn"} <= set(caches)
-        assert any(c.cache_info().currsize for c in caches.values())
+        assert set(caches) == {
+            "tableaux._cells",
+            "kronecker._kron_coeff",
+            "oracle._mn",
+            "oracle._char_table",
+        }
+        assert all(c.cache_info().currsize for c in caches.values())
         clear_caches()
         assert {name: c.cache_info().currsize for name, c in caches.items()} == dict.fromkeys(caches, 0)
 
     def test_single_coefficients_are_memoised_within_a_bound(self):
-        assert oracle._signed_coeff.cache_info().maxsize == oracle.SIGNED_COEFF_CACHE
-        assert tableaux._count_fillings.cache_info().maxsize == tableaux.COUNT_CACHE
+        assert kronecker._kron_coeff.cache_info().maxsize == kronecker.KRON_COEFF_CACHE
         clear_caches()
-        first = oracle_tworow_signed_coeff(15, 3, [6, 4, 4, 1], (5, 4, 3, 3))
-        assert oracle_tworow_signed_coeff(15, 3, (6, 4, 4, 1), [5, 4, 3, 3]) == first == 4
-        assert oracle._signed_coeff.cache_info().hits == 1
+        first = kron_coeff(15, 3, [6, 4, 4, 1], (5, 4, 3, 3))
+        again = kron_coeff(15, 3, (6, 4, 4, 1), [5, 4, 3, 3])
+        assert again == first == KronResult(4, METHOD_ROWS, 4)
+        info = kronecker._kron_coeff.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "lam, nu", [([4, 6, 4, 1], (5, 4, 3, 3)), ((6, 4, 4, 1), [3, 5, 4, 3])]
+    )
+    def test_non_partition_is_refused_before_the_memo(self, lam, nu):
+        clear_caches()
+        with pytest.raises(DomainError, match="not a partition"):
+            kron_coeff(15, 3, lam, nu)
+        assert kronecker._kron_coeff.cache_info().misses == 0

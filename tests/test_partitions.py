@@ -117,6 +117,11 @@ class TestEnumerate:
         got = list(enumerate_partitions(6, max_length=2, max_part=4))
         assert got == [(4, 2), (3, 3)]
 
+    def test_long_column_once(self):
+        # the walk keeps its own stack: 1200 parts, far past the recursion limit
+        assert list(enumerate_partitions(1200, max_part=1)) == [(1,) * 1200]
+        assert list(enumerate_partitions(1200, inside=(1,) * 1200)) == [(1,) * 1200]
+
 
 class TestShrink:
     def test_levels_are_the_contained_partitions(self):

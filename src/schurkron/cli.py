@@ -42,7 +42,6 @@ from .oracle import (
 from .partitions import (
     DomainError,
     PartitionParseError,
-    check_tworow_args,
     enumerate_partitions,
     format_partition,
     parse_partition,
@@ -117,7 +116,6 @@ def _cmd_kron(args):
         signed = oracle_tworow_signed_sum if args.nu is None else oracle_tworow_signed_coeff
         answer = signed(n, p, *shapes)
     else:
-        check_tworow_args(n, p, *shapes)
         method = "oracle_character"
         character = oracle_character_kron if args.nu is None else oracle_character_coeff
         answer = character(two_row(n, p), *shapes)

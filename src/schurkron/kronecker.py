@@ -27,7 +27,6 @@ from typing import NamedTuple
 from .expansion import SchurExpansion
 from .oracle import oracle_tworow_signed_coeff, oracle_tworow_signed_sum
 from .partitions import (
-    DomainError,
     Partition,
     check_partition,
     check_tworow_args,
@@ -77,28 +76,26 @@ def _route(p: int, lam: Partition) -> tuple[str, Partition]:
 def kronecker_tableau_count(lam: Partition, alpha: Partition, nu: Partition) -> int:
     """Number of Kronecker tableaux of shape lam/alpha and type nu/alpha;
     0 whenever the containments or sizes fail."""
-    if sum(lam) != sum(nu):
-        return 0
+    for shape in (lam, alpha, nu):
+        check_partition(shape)
     if not contains(alpha, lam) or not contains(alpha, nu):
         return 0
     return _count_fillings(lam, alpha, nu, alpha, True)
 
 
 def _tableau_sum(lam: Partition, nu: Partition, p: int) -> int:
-    inter = intersect(lam, nu)
+    """The rule's sum on checked shapes of one size; every alpha lies inside
+    lam & nu, so the counts need no guards."""
     return sum(
-        kronecker_tableau_count(lam, alpha, nu)
-        for alpha in enumerate_partitions(p, inside=inter)
+        _count_fillings(lam, alpha, nu, alpha, True)
+        for alpha in enumerate_partitions(p, inside=intersect(lam, nu))
     )
 
 
 def kron_upper_bound(p: int, lam: Partition, nu: Partition) -> int:
     """Sum of Kronecker tableau counts over alpha |- p inside lam and nu;
     an upper bound for g_{(n-p,p),lam,nu}, exact when lam_1 >= 2p-1."""
-    check_partition(lam)
-    check_partition(nu)
-    if sum(lam) != sum(nu):
-        raise DomainError(f"|{lam}| != |{nu}|")
+    check_tworow_args(sum(lam), p, lam, nu)
     return _tableau_sum(lam, nu, p)
 
 

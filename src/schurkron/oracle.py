@@ -146,8 +146,8 @@ def _mn(lam: Partition, rho: Partition) -> int:
 
 def mn_character(lam: Partition, rho: Partition) -> int:
     """chi^lam evaluated on the class of cycle type rho."""
-    if sum(lam) != sum(rho):
-        raise DomainError(f"size mismatch: |{lam}| != |{rho}|")
+    n = check_partition(lam)
+    check_partition(rho, n)
     return _mn(tuple(lam), tuple(rho))
 
 
@@ -207,11 +207,8 @@ def oracle_character_kron(lam: Partition, mu: Partition) -> SchurExpansion:
     """Full expansion of s_lam * s_mu from the triple character sum: one
     multiply-add of a packed column per class, then the signed base-2^shift
     digits of the total are n! g_nu in the order of the partitions."""
-    check_partition(lam)
-    check_partition(mu)
-    n = sum(lam)
-    if sum(mu) != n:
-        raise DomainError(f"size mismatch: |{lam}| != |{mu}|")
+    n = check_partition(lam)
+    check_partition(mu, n)
     parts, zs, chi, index, shift, columns = _char_table(n)
     fact = math.factorial(n)
     row_l = chi[index[tuple(lam)]]
@@ -241,11 +238,9 @@ def oracle_character_kron(lam: Partition, mu: Partition) -> SchurExpansion:
 
 def oracle_character_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Single Kronecker coefficient g_{lam,mu,nu} from the character sum."""
-    for shape in (lam, mu, nu):
-        check_partition(shape)
-    n = sum(lam)
-    if sum(mu) != n or sum(nu) != n:
-        raise DomainError("all three partitions must have the same size")
+    n = check_partition(lam)
+    check_partition(mu, n)
+    check_partition(nu, n)
     parts, zs, chi, index, _, _ = _char_table(n)
     fact = math.factorial(n)
     row_l = chi[index[tuple(lam)]]
@@ -259,6 +254,7 @@ def oracle_character_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
 
 def dimension(lam: Partition) -> int:
     """Number of standard Young tableaux of shape lam (hook length formula)."""
+    check_partition(lam)
     if not lam:
         return 1
     conj = conjugate(lam)

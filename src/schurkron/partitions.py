@@ -3,6 +3,15 @@
 Partitions are plain tuples of weakly decreasing positive ints; the empty
 tuple is the unique partition of 0.  Reading a part beyond the length gives 0,
 so formulas never need explicit zero padding.
+
+This module is the one place that decides whether arguments are valid
+shapes: ``check_partition`` (a partition, optionally of a given size),
+``skew_shape`` (two partitions, one inside the other) and
+``check_tworow_args`` (partitions of n and 0 <= 2p <= n).  Every public
+function of the package that takes a partition calls one of them.  The
+primitives here (``part``, ``conjugate``, ``contains``, ``intersect``,
+``lex_compare``, ``remove_box``, ``add_box``, ...) do not check: they run in
+inner loops on shapes that were checked at the boundary.
 """
 
 from __future__ import annotations
@@ -38,13 +47,18 @@ def partition(parts: Iterable[int]) -> Partition:
     return p
 
 
-def check_partition(lam: Partition) -> None:
-    """Raise DomainError unless the parts are positive and weakly decreasing:
-    one pass over the parts (each at least the next, the last above 0)."""
+def check_partition(lam: Partition, n: int | None = None) -> int:
+    """Return the size of lam; raise DomainError unless its parts are
+    positive and weakly decreasing (one pass: each part at least the next,
+    the last above 0) and, when n is given, sum to n."""
     if lam and (lam[-1] <= 0 or not all(map(operator.ge, lam, lam[1:]))):
         raise DomainError(
             f"{tuple(lam)} is not a partition: parts must be positive and weakly decreasing"
         )
+    size = sum(lam)
+    if n is not None and size != n:
+        raise DomainError(f"{tuple(lam)} is not a partition of {n}")
+    return size
 
 
 def part(lam: Partition, i: int) -> int:
@@ -184,18 +198,20 @@ class SkewShape(NamedTuple):
 
 
 def skew_shape(outer: Partition, inner: Partition) -> SkewShape:
+    """The skew shape outer/inner; DomainError unless both are partitions and
+    inner fits inside outer."""
+    check_partition(outer)
+    check_partition(inner)
     if not contains(inner, outer):
-        raise DomainError(f"{inner} is not contained in {outer}")
-    return SkewShape(outer, inner)
+        raise DomainError(f"{tuple(inner)} is not contained in {tuple(outer)}")
+    return SkewShape(tuple(outer), tuple(inner))
 
 
 def check_tworow_args(n: int, p: int, *shapes: Partition) -> None:
     """Raise DomainError unless 0 <= 2p <= n and every shape is a partition
     of n."""
     for lam in shapes:
-        check_partition(lam)
-        if sum(lam) != n:
-            raise DomainError(f"{lam} is not a partition of {n}")
+        check_partition(lam, n)
     if p < 0 or 2 * p > n:
         raise DomainError(f"need 0 <= 2p <= n, got p={p}, n={n}")
 

@@ -11,10 +11,10 @@ terms of the expansion.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .expansion import SchurExpansion
-from .partitions import DomainError, Partition, SkewShape, check_partition, contains, part
+from .partitions import DomainError, Partition, SkewShape, part, skew_shape
 from .tableaux import _expand_fillings
 
 
@@ -30,10 +30,7 @@ def reverse_lex_filling(mu: Partition) -> tuple[tuple[int, ...], ...]:
 
 def skew_expand(lam: Partition, mu: Partition) -> SchurExpansion:
     """Expansion of s_{lam/mu} in the Schur basis via label placement."""
-    check_partition(lam)
-    check_partition(mu)
-    if not contains(mu, lam):
-        raise DomainError(f"{mu} is not contained in {lam}")
+    lam, mu = skew_shape(lam, mu)
     total = sum(mu)
     if total == 0:
         return SchurExpansion({lam: 1})
@@ -47,11 +44,9 @@ def skew_expand(lam: Partition, mu: Partition) -> SchurExpansion:
     cur = list(lam)
     buckets: dict[Partition, int] = {}
 
-    def rec(x: int) -> None:
-        if x == 0:
-            nu = tuple(v for v in cur if v)
-            buckets[nu] = buckets.get(nu, 0) + 1
-            return
+    def placements(x: int) -> Iterator[None]:
+        """Move label x onto each allowed corner in turn, pausing while it
+        sits there; ``cur`` is restored when the generator finishes."""
         i, j = pos[x]
         # constraints from the filling position (the Remark's bounds) ...
         l_min = i
@@ -80,21 +75,28 @@ def skew_expand(lam: Partition, mu: Partition) -> SchurExpansion:
                 continue
             cur[l - 1] -= 1
             placed[x] = (l, m)
-            rec(x - 1)
+            yield
             cur[l - 1] += 1
-        placed.pop(x, None)
 
-    rec(total)
+    # one paused generator per label on the board, largest first, instead of
+    # one recursive call per label, so |mu| is not limited by the recursion
+    # limit; placed[y] is read only for labels y > x, which are all current
+    stack = [placements(total)]
+    while stack:
+        if next(stack[-1], True):  # the top label has no corner left
+            stack.pop()
+        elif len(stack) < total:
+            stack.append(placements(total - len(stack)))
+        else:
+            nu = tuple(v for v in cur if v)
+            buckets[nu] = buckets.get(nu, 0) + 1
     return SchurExpansion(buckets)
 
 
 def min_lex_term(lam: Partition, alpha: Partition) -> Partition:
     """The lex-smallest partition in the expansion of s_{lam/alpha}: the row
     differences lam_i - alpha_i sorted into decreasing order."""
-    check_partition(lam)
-    check_partition(alpha)
-    if not contains(alpha, lam):
-        raise DomainError(f"{alpha} is not contained in {lam}")
+    lam, alpha = skew_shape(lam, alpha)
     diffs = sorted(
         (part(lam, i) - part(alpha, i) for i in range(1, len(lam) + 1)),
         reverse=True,
@@ -124,10 +126,7 @@ def skew_times_alpha(lam: Partition, alpha: Partition) -> SchurExpansion:
     nu - alpha whose reverse reading word is an alpha-lattice permutation;
     the enumeration buckets every such filling by its type plus alpha.
     """
-    check_partition(lam)
-    check_partition(alpha)
-    if not contains(alpha, lam):
-        raise DomainError(f"{alpha} is not contained in {lam}")
+    lam, alpha = skew_shape(lam, alpha)
     return SchurExpansion(_expand_fillings(lam, alpha, alpha, kron=False))
 
 
@@ -140,14 +139,11 @@ def positivity_diff(lam: Partition, alpha: Partition) -> PositivityResult:
     """Expand s_{lam/alpha} s_alpha - s_{lam/alpha^-} s_alpha^- where alpha^-
     drops one box from the first row; the difference is Schur positive exactly
     when lam_1 >= 2 alpha_1 - 1."""
-    check_partition(lam)
-    check_partition(alpha)
+    lam, alpha = skew_shape(lam, alpha)
     if not alpha:
         raise DomainError("alpha must be non-empty")
     if part(alpha, 1) == part(alpha, 2):
         raise DomainError(f"alpha must have alpha_1 > alpha_2: {alpha}")
-    if not contains(alpha, lam):
-        raise DomainError(f"{alpha} is not contained in {lam}")
     minus = tuple(x for x in (alpha[0] - 1,) + alpha[1:] if x)
     diff = skew_times_alpha(lam, alpha) - skew_times_alpha(lam, minus)
     return PositivityResult(diff, diff.is_positive)

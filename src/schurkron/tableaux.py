@@ -32,7 +32,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
-from .partitions import Partition, SkewShape, check_partition, contains, part
+from .partitions import Partition, SkewShape, check_partition, contains, part, skew_shape
 
 
 class Tableau(NamedTuple):
@@ -283,12 +283,14 @@ def count_ssyt_alpha_lattice(
 ) -> int:
     """Number of SSYT of the shape and type whose reverse reading word is an
     alpha-lattice permutation; alpha = () gives plain lattice filtering."""
+    shape = skew_shape(*shape)
+    alpha = tuple(alpha)
+    check_partition(alpha)
     counts = _normalize_counts(type_counts)
     if sum(counts) != shape.size:
         raise ValueError(
             f"type weighs {sum(counts)}, shape has {shape.size} cells"
         )
-    alpha = tuple(alpha)
     width = max(len(counts), len(alpha))
     nu = tuple(part(counts, i) + part(alpha, i) for i in range(1, width + 1))
     return _count_fillings(shape.outer, shape.inner, nu, alpha, False)

@@ -119,6 +119,11 @@ class TestOtherCommands:
         assert rc == 0
         assert out.splitlines()[1:] == ["3,2,2 : 1"]
 
+    def test_skew_with_many_labels(self):
+        rc, out, err = run_cli("skew", "1100", "1050")
+        assert rc == 0 and "Traceback" not in err
+        assert out.splitlines()[1:] == ["50 : 1"]
+
     def test_lr(self):
         rc, out, _ = run_cli("lr", "5,4,3", "4,3,2", "2,1")
         assert rc == 0

@@ -10,9 +10,11 @@ from schurkron import (
     METHOD_CONJUGATE,
     METHOD_ORACLE,
     METHOD_ROWS,
+    SkewShape,
     Tableau,
     conjugate,
     contains,
+    count_ssyt_alpha_lattice,
     dimension,
     enumerate_partitions,
     hook_coeff,
@@ -26,6 +28,7 @@ from schurkron import (
     kronecker_tableau_count,
     lr_coefficient,
     min_lex_term,
+    mn_character,
     nu_double_pair_coeff,
     oracle_character_coeff,
     oracle_character_kron,
@@ -201,6 +204,12 @@ class TestUpperBound:
     def test_empty_when_intersection_small(self):
         assert kron_upper_bound(3, (6, 1), (2, 2, 1, 1, 1)) == 0
 
+    @pytest.mark.parametrize("p", [-1, 3, 4])
+    def test_refuses_p_outside_two_row_range(self, p):
+        # (n-p, p) is a partition only for 0 <= 2p <= n
+        with pytest.raises(DomainError, match="2p <= n"):
+            kron_upper_bound(p, (3, 2), (3, 2))
+
     def test_bounds_oracle_everywhere(self):
         for n in range(1, 11):
             for p in range(0, min(4, n // 2) + 1):
@@ -241,6 +250,27 @@ NON_PARTITION_CALLS = {
     "tworow_target_coeff": lambda bad: tworow_target_coeff(5, 1, bad, 1),
     "nu_double_pair_coeff": lambda bad: nu_double_pair_coeff(5, 1, 1, bad),
     "is_multiplicity_free": lambda bad: is_multiplicity_free(5, 1, bad),
+    "mn_character-lam": lambda bad: mn_character(bad, (5,)),
+    "mn_character-rho": lambda bad: mn_character((3, 2), bad),
+    "dimension": lambda bad: dimension(bad),
+    "tableau_count-lam": lambda bad: kronecker_tableau_count(bad, (1,), (3, 2)),
+    "tableau_count-alpha": lambda bad: kronecker_tableau_count((6, 5), bad, (6, 5)),
+    "tableau_count-nu": lambda bad: kronecker_tableau_count((3, 2), (1,), bad),
+    "count_ssyt-outer": lambda bad: count_ssyt_alpha_lattice(SkewShape(bad, ()), (5,), ()),
+    "count_ssyt-inner": lambda bad: count_ssyt_alpha_lattice(SkewShape((6, 5), bad), (6,), ()),
+    "count_ssyt-alpha": lambda bad: count_ssyt_alpha_lattice(SkewShape((6, 5), ()), (6, 5), bad),
+    "skew_shape-outer": lambda bad: skew_shape(bad, ()),
+    "skew_shape-inner": lambda bad: skew_shape((6, 5), bad),
+}
+
+# each entry point that takes shapes of one size, with one shape of size 6
+WRONG_SIZE_CALLS = {
+    "character_kron": lambda: oracle_character_kron((3, 2), (4, 2)),
+    "character_coeff": lambda: oracle_character_coeff((3, 2), (4, 1), (4, 2)),
+    "mn_character": lambda: mn_character((3, 2), (4, 2)),
+    "hook_coeff": lambda: hook_coeff(5, 1, 2, (4, 2)),
+    "kron_coeff": lambda: kron_coeff(5, 1, (3, 2), (4, 2)),
+    "upper_bound": lambda: kron_upper_bound(1, (3, 2), (4, 2)),
 }
 
 
@@ -250,6 +280,22 @@ class TestNonPartitions:
     def test_domain_error(self, call, bad):
         with pytest.raises(DomainError, match="not a partition"):
             call(bad)
+
+    @pytest.mark.parametrize("call", WRONG_SIZE_CALLS.values(), ids=WRONG_SIZE_CALLS)
+    def test_wrong_size(self, call):
+        with pytest.raises(DomainError, match=r"\(4, 2\) is not a partition of 5"):
+            call()
+
+    def test_unchecked_entry_points_now_refuse(self):
+        # these returned 0, 1, raised IndexError and returned 1 in turn
+        with pytest.raises(DomainError):
+            mn_character((2, 3), (5,))
+        with pytest.raises(DomainError):
+            kronecker_tableau_count((2, 3), (1,), (3, 2))
+        with pytest.raises(DomainError):
+            dimension((2, 3))
+        with pytest.raises(DomainError):
+            kron_upper_bound(3, (3, 2), (3, 2))
 
     def test_reported_wrong_answers_now_refused(self):
         # both used to return a value for the reversed shape (2,3)
@@ -304,7 +350,7 @@ class TestDifferential:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_routes_and_oracles_agree(self, data):
-        n = data.draw(st.integers(1, 12))
+        n = data.draw(st.integers(1, 14))
         p = data.draw(st.integers(0, n // 2))
         shapes = list(enumerate_partitions(n))
         lam = data.draw(st.sampled_from(shapes))

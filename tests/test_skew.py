@@ -39,6 +39,11 @@ class TestSkewExpand:
         with pytest.raises(DomainError):
             skew_expand((2, 2), (3,))
 
+    def test_many_labels_past_the_recursion_limit(self):
+        # 1050 labels, each placed in turn, once raised RecursionError
+        assert skew_expand((1100,), (1050,)).as_dict() == {(50,): 1}
+        assert skew_expand((1100, 1), (1050, 1)).as_dict() == {(50,): 1}
+
     def test_agrees_with_lr_rule(self):
         # two independent computations of s_{lam/mu}
         for n in range(1, 10):

@@ -25,8 +25,8 @@ from . import formulas
 from .expansion import SchurExpansion
 from .formulas import TworowSequence, is_multiplicity_free
 from .kronecker import (
-    METHOD_CONJUGATE,
-    METHOD_ROWS,
+    METHOD_ORACLE,
+    _route,
     _rule_coeff,
     kron_coeff,
     kron_expand_tworow,
@@ -42,6 +42,7 @@ from .oracle import (
 from .partitions import (
     DomainError,
     PartitionParseError,
+    check_tworow_args,
     enumerate_partitions,
     format_partition,
     parse_partition,
@@ -103,12 +104,15 @@ def _read(args, names, **head) -> tuple[dict, list]:
 def _cmd_kron(args):
     names = ("n", "p", "lam") if args.nu is None else ("n", "p", "lam", "nu")
     record, (n, p, *shapes) = _read(args, names, command="kron")
+    if args.method == "theorem":
+        # refuse a lam off the rule's routes before any engine runs
+        lam = check_tworow_args(n, p, *shapes)[0]
+        if _route(p, lam)[0] == METHOD_ORACLE:
+            raise DomainError(f"tableau rule needs lam_1 >= {2 * p - 1} or l(lam) >= {2 * p - 1}")
     if args.method in ("auto", "theorem"):
         # a theorem coefficient counts the paper's tableaux, auto's composes LR numbers
         single = _rule_coeff if args.method == "theorem" else kron_coeff
         result = (kron_expand_tworow if args.nu is None else single)(n, p, *shapes)
-        if args.method == "theorem" and result.method not in (METHOD_ROWS, METHOD_CONJUGATE):
-            raise DomainError(f"tableau rule needs lam_1 >= {2 * p - 1} or l(lam) >= {2 * p - 1}")
         method = result.method
         answer = result.expansion if args.nu is None else result.value
     elif args.method == "oracle-signed":

@@ -47,8 +47,8 @@ def descent_count(lam: Partition) -> int:
 def p1_expand(lam: Partition) -> SchurExpansion:
     """s_{(n-1,1)} * s_lam: C(lam) copies of lam plus one copy of every other
     partition reachable by removing a box and adding a box."""
-    n = check_partition(lam)
-    if n < 2:
+    lam = check_partition(lam)
+    if sum(lam) < 2:
         raise DomainError("need |lam| >= 2")
     acc: dict[Partition, int] = {}
     for r in removable_rows(lam):
@@ -99,7 +99,7 @@ def is_multiplicity_free(n: int, p: int, lam: Partition) -> MfreeVerdict:
     n; p=2 for n>=6; p=3 for n>16; p>=4 for n>(2p-2)^2) and by direct
     computation elsewhere, attaching a witness when the answer is no.
     """
-    check_partition(lam, n)
+    lam = check_partition(lam, n)
     if p < 1 or 2 * p > n:
         raise DomainError(f"need 1 <= p <= n/2, got p={p}, n={n}")
     if p == 1:
@@ -175,7 +175,7 @@ def hook_coeff(n: int, p: int, s: int, nu: Partition) -> int:
     Nonzero values occur only at hooks and double hooks; the case table keys
     on nu_2 against p and on nu_1 within its four-wide window.
     """
-    check_partition(nu, n)
+    nu = check_partition(nu, n)
     if not 1 <= s <= n - 1:
         raise DomainError(f"need 1 <= s <= n-1, got s={s}")
     if p < 1:
@@ -263,7 +263,7 @@ def tworow_target_coeff(n: int, p: int, lam: Partition, t: int) -> int:
     Zero when lam has more than four rows; otherwise an indicator a_p plus
     two window sums over the second row length l of alpha = (p-l,l).
     """
-    check_partition(lam, n)
+    lam = check_partition(lam, n)
     if p < 1:
         raise DomainError(f"need p >= 1, got p={p}")
     if not 0 <= t <= n // 2:
@@ -396,7 +396,7 @@ def tworow_tworow_sequence(n: int, p: int, s: int) -> TworowSequence:
 def nu_double_pair_coeff(n: int, p: int, s: int, nu: Partition) -> int:
     """Coefficient of s_nu in s_{(n-p,p)} * s_{(n-s,s)} for four-row nu with
     nu_3 == nu_4 >= 1; identically 0 when p <= 1."""
-    check_partition(nu, n)
+    nu = check_partition(nu, n)
     if len(nu) != 4 or nu[2] != nu[3]:
         raise DomainError(f"nu must be (nu1,nu2,nu3,nu3) with nu3 >= 1: {nu}")
     if s < 1:

@@ -76,8 +76,7 @@ def _route(p: int, lam: Partition) -> tuple[str, Partition]:
 def kronecker_tableau_count(lam: Partition, alpha: Partition, nu: Partition) -> int:
     """Number of Kronecker tableaux of shape lam/alpha and type nu/alpha;
     0 whenever the containments or sizes fail."""
-    for shape in (lam, alpha, nu):
-        check_partition(shape)
+    lam, alpha, nu = (check_partition(shape) for shape in (lam, alpha, nu))
     if not contains(alpha, lam) or not contains(alpha, nu):
         return 0
     return _count_fillings(lam, alpha, nu, alpha, True)
@@ -95,7 +94,7 @@ def _tableau_sum(lam: Partition, nu: Partition, p: int) -> int:
 def kron_upper_bound(p: int, lam: Partition, nu: Partition) -> int:
     """Sum of Kronecker tableau counts over alpha |- p inside lam and nu;
     an upper bound for g_{(n-p,p),lam,nu}, exact when lam_1 >= 2p-1."""
-    check_tworow_args(sum(lam), p, lam, nu)
+    lam, nu = check_tworow_args(sum(check_partition(lam)), p, lam, nu)
     return _tableau_sum(lam, nu, p)
 
 
@@ -105,7 +104,7 @@ def kron_expand_tworow(n: int, p: int, lam: Partition) -> KronExpansion:
     Uses the tableau rule on lam when lam_1 >= 2p-1, on the conjugate when
     l(lam) >= 2p-1, and the signed-sum oracle otherwise.
     """
-    check_tworow_args(n, p, lam)
+    (lam,) = check_tworow_args(n, p, lam)
     method, work = _route(p, lam)
     if method == METHOD_ORACLE:
         return KronExpansion(oracle_tworow_signed_sum(n, p, lam), method)
@@ -129,8 +128,7 @@ def kron_coeff(n: int, p: int, lam: Partition, nu: Partition) -> KronResult:
     and the tableau-count upper bound (the rule's sum on lam itself).  The
     value comes from LR composition on every route; the last
     KRON_COEFF_CACHE distinct answers are kept."""
-    check_tworow_args(n, p, lam, nu)
-    return _kron_coeff(n, p, tuple(lam), tuple(nu))
+    return _kron_coeff(n, p, *check_tworow_args(n, p, lam, nu))
 
 
 @lru_cache(maxsize=KRON_COEFF_CACHE)
@@ -145,7 +143,7 @@ def _kron_coeff(n: int, p: int, lam: Partition, nu: Partition) -> KronResult:
 def _rule_coeff(n: int, p: int, lam: Partition, nu: Partition) -> KronResult:
     """``kron_coeff`` with the value counted by the tableau rule on its
     routes: the paper's theorem as the reference for LR composition."""
-    check_tworow_args(n, p, lam, nu)
+    lam, nu = check_tworow_args(n, p, lam, nu)
     method, work = _route(p, lam)
     if method == METHOD_ORACLE:
         value = oracle_tworow_signed_coeff(n, p, lam, nu)

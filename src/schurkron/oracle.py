@@ -71,7 +71,7 @@ def cycle_types(n: int) -> list[CycleType]:
 
 def oracle_tworow_signed_sum(n: int, p: int, lam: Partition) -> SchurExpansion:
     """Full expansion of s_{(n-p,p)} * s_lam by the signed skew-product sum."""
-    check_tworow_args(n, p, lam)
+    (lam,) = check_tworow_args(n, p, lam)
     acc: dict[Partition, int] = {}
     for alpha in enumerate_partitions(p, inside=lam):
         _expand_fillings(lam, alpha, alpha, kron=False, out=acc)
@@ -91,8 +91,7 @@ def oracle_tworow_signed_coeff(n: int, p: int, lam: Partition, nu: Partition) ->
     """Single coefficient of s_nu in s_{(n-p,p)} * s_lam, same signed sum
     composed from Littlewood-Richardson numbers on skew shapes of at most p
     cells."""
-    check_tworow_args(n, p, lam, nu)
-    lam, nu = tuple(lam), tuple(nu)
+    lam, nu = check_tworow_args(n, p, lam, nu)
     inter = intersect(lam, nu)
     surplus = sum(inter) - (n - p)
     if surplus < 0:
@@ -118,7 +117,14 @@ def _lr_pairs(lam: Partition, nu: Partition, mus: Iterable[Partition]) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
+MN_CACHE = 1 << 19
+"""Character values kept by ``_mn``.  Building ``_char_table(MAX_CHAR_N)``
+alone leaves 469,267 of them, so a table build never evicts its own
+entries, and the memory stays bounded however many tables a process
+builds."""
+
+
+@lru_cache(maxsize=MN_CACHE)
 def _mn(lam: Partition, rho: Partition) -> int:
     """Character value by signed border-strip removal, largest cycle first."""
     if not rho:
@@ -146,9 +152,8 @@ def _mn(lam: Partition, rho: Partition) -> int:
 
 def mn_character(lam: Partition, rho: Partition) -> int:
     """chi^lam evaluated on the class of cycle type rho."""
-    n = check_partition(lam)
-    check_partition(rho, n)
-    return _mn(tuple(lam), tuple(rho))
+    lam = check_partition(lam)
+    return _mn(lam, check_partition(rho, sum(lam)))
 
 
 MAX_CHAR_N = 20
@@ -207,12 +212,13 @@ def oracle_character_kron(lam: Partition, mu: Partition) -> SchurExpansion:
     """Full expansion of s_lam * s_mu from the triple character sum: one
     multiply-add of a packed column per class, then the signed base-2^shift
     digits of the total are n! g_nu in the order of the partitions."""
-    n = check_partition(lam)
-    check_partition(mu, n)
+    lam = check_partition(lam)
+    n = sum(lam)
+    mu = check_partition(mu, n)
     parts, zs, chi, index, shift, columns = _char_table(n)
     fact = math.factorial(n)
-    row_l = chi[index[tuple(lam)]]
-    row_m = chi[index[tuple(mu)]]
+    row_l = chi[index[lam]]
+    row_m = chi[index[mu]]
     total = 0
     for z, a, b, column in zip(zs, row_l, row_m, columns):
         if a and b:
@@ -238,14 +244,14 @@ def oracle_character_kron(lam: Partition, mu: Partition) -> SchurExpansion:
 
 def oracle_character_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Single Kronecker coefficient g_{lam,mu,nu} from the character sum."""
-    n = check_partition(lam)
-    check_partition(mu, n)
-    check_partition(nu, n)
+    lam = check_partition(lam)
+    n = sum(lam)
+    mu, nu = check_partition(mu, n), check_partition(nu, n)
     parts, zs, chi, index, _, _ = _char_table(n)
     fact = math.factorial(n)
-    row_l = chi[index[tuple(lam)]]
-    row_m = chi[index[tuple(mu)]]
-    row_n = chi[index[tuple(nu)]]
+    row_l = chi[index[lam]]
+    row_m = chi[index[mu]]
+    row_n = chi[index[nu]]
     s = sum(
         (fact // z) * a * b * c for z, a, b, c in zip(zs, row_l, row_m, row_n)
     )
@@ -254,7 +260,7 @@ def oracle_character_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
 
 def dimension(lam: Partition) -> int:
     """Number of standard Young tableaux of shape lam (hook length formula)."""
-    check_partition(lam)
+    lam = check_partition(lam)
     if not lam:
         return 1
     conj = conjugate(lam)

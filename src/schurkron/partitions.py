@@ -5,10 +5,12 @@ tuple is the unique partition of 0.  Reading a part beyond the length gives 0,
 so formulas never need explicit zero padding.
 
 This module is the one place that decides whether arguments are valid
-shapes: ``check_partition`` (a partition, optionally of a given size),
-``skew_shape`` (two partitions, one inside the other) and
-``check_tworow_args`` (partitions of n and 0 <= 2p <= n).  Every public
-function of the package that takes a partition calls one of them.  The
+shapes and what form a checked shape takes: ``check_partition`` (a
+partition, optionally of a given size), ``skew_shape`` (two partitions, one
+inside the other) and ``check_tworow_args`` (partitions of n and
+0 <= 2p <= n) accept any sequence of ints and return the shapes they
+checked as tuples.  Every public function of the package that takes a
+partition calls one of them and computes on what it returns.  The
 primitives here (``part``, ``conjugate``, ``contains``, ``intersect``,
 ``lex_compare``, ``remove_box``, ``add_box``, ...) do not check: they run in
 inner loops on shapes that were checked at the boundary.
@@ -17,7 +19,7 @@ inner loops on shapes that were checked at the boundary.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 Partition = tuple[int, ...]
 
@@ -40,25 +42,27 @@ class InvariantError(RuntimeError):
 
 def partition(parts: Iterable[int]) -> Partition:
     """Build a partition from any iterable, stripping trailing zeros."""
-    p = tuple(int(x) for x in parts)
+    p = list(parts)
     while p and p[-1] == 0:
-        p = p[:-1]
-    check_partition(p)
-    return p
+        p.pop()
+    return check_partition(p)
 
 
-def check_partition(lam: Partition, n: int | None = None) -> int:
-    """Return the size of lam; raise DomainError unless its parts are
-    positive and weakly decreasing (one pass: each part at least the next,
-    the last above 0) and, when n is given, sum to n."""
-    if lam and (lam[-1] <= 0 or not all(map(operator.ge, lam, lam[1:]))):
+def check_partition(lam: Sequence[int], n: int | None = None) -> Partition:
+    """Return lam as a tuple of ints; raise DomainError unless its parts are
+    integers, positive and weakly decreasing (one pass: each part at least
+    the next, the last above 0) and, when n is given, sum to n."""
+    try:
+        shape = tuple(map(operator.index, lam))
+    except TypeError:
+        raise DomainError(f"{tuple(lam)} is not a partition: parts must be integers") from None
+    if shape and (shape[-1] <= 0 or not all(map(operator.ge, shape, shape[1:]))):
         raise DomainError(
-            f"{tuple(lam)} is not a partition: parts must be positive and weakly decreasing"
+            f"{shape} is not a partition: parts must be positive and weakly decreasing"
         )
-    size = sum(lam)
-    if n is not None and size != n:
-        raise DomainError(f"{tuple(lam)} is not a partition of {n}")
-    return size
+    if n is not None and sum(shape) != n:
+        raise DomainError(f"{shape} is not a partition of {n}")
+    return shape
 
 
 def part(lam: Partition, i: int) -> int:
@@ -197,29 +201,30 @@ class SkewShape(NamedTuple):
         return sum(self.outer) - sum(self.inner)
 
 
-def skew_shape(outer: Partition, inner: Partition) -> SkewShape:
+def skew_shape(outer: Sequence[int], inner: Sequence[int]) -> SkewShape:
     """The skew shape outer/inner; DomainError unless both are partitions and
     inner fits inside outer."""
-    check_partition(outer)
-    check_partition(inner)
+    outer, inner = check_partition(outer), check_partition(inner)
     if not contains(inner, outer):
-        raise DomainError(f"{tuple(inner)} is not contained in {tuple(outer)}")
-    return SkewShape(tuple(outer), tuple(inner))
+        raise DomainError(f"{inner} is not contained in {outer}")
+    return SkewShape(outer, inner)
 
 
-def check_tworow_args(n: int, p: int, *shapes: Partition) -> None:
-    """Raise DomainError unless 0 <= 2p <= n and every shape is a partition
-    of n."""
-    for lam in shapes:
-        check_partition(lam, n)
+def check_tworow_args(n: int, p: int, *shapes: Sequence[int]) -> tuple[Partition, ...]:
+    """The shapes as checked partitions; DomainError unless 0 <= 2p <= n and
+    every shape is a partition of n."""
+    checked = tuple(check_partition(lam, n) for lam in shapes)
     if p < 0 or 2 * p > n:
         raise DomainError(f"need 0 <= 2p <= n, got p={p}, n={n}")
+    return checked
 
 
 def parse_partition(text: str) -> Partition:
     """Parse "6,4,4,1" or exponent form "3^2,1"; "" is the empty partition.
 
-    At most MAX_PARTS parts, zeros included, may be spelled out.
+    At most MAX_PARTS parts, zeros included, may be spelled out.  Trailing
+    zeros are dropped and the rest is checked by ``check_partition``, whose
+    refusal is raised as PartitionParseError.
     """
     text = text.strip()
     if not text:
@@ -235,18 +240,15 @@ def parse_partition(text: str) -> Partition:
             mult = int(exp) if sep else 1
         except ValueError:
             raise PartitionParseError(f"bad component {token!r} in {text!r}") from None
-        if value < 0 or mult < 0:
-            raise PartitionParseError(f"negative values in {token!r}")
+        if mult < 0:
+            raise PartitionParseError(f"negative exponent in {token!r}")
         if mult > MAX_PARTS - len(parts):
             raise PartitionParseError(f"more than {MAX_PARTS} parts in {text!r}")
         parts.extend([value] * mult)
-    while parts and parts[-1] == 0:
-        parts.pop()
-    if any(x <= 0 for x in parts):
-        raise PartitionParseError(f"zero part inside {text!r}")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise PartitionParseError(f"parts must be weakly decreasing: {text!r}")
-    return tuple(parts)
+    try:
+        return partition(parts)
+    except DomainError as err:
+        raise PartitionParseError(str(err)) from None
 
 
 def format_partition(lam: Partition) -> str:

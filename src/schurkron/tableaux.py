@@ -284,8 +284,7 @@ def count_ssyt_alpha_lattice(
     """Number of SSYT of the shape and type whose reverse reading word is an
     alpha-lattice permutation; alpha = () gives plain lattice filtering."""
     shape = skew_shape(*shape)
-    alpha = tuple(alpha)
-    check_partition(alpha)
+    alpha = check_partition(alpha)
     counts = _normalize_counts(type_counts)
     if sum(counts) != shape.size:
         raise ValueError(
@@ -298,8 +297,7 @@ def count_ssyt_alpha_lattice(
 
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Littlewood-Richardson coefficient c^lam_{mu nu}."""
-    for shape in (lam, mu, nu):
-        check_partition(shape)
+    lam, mu, nu = (check_partition(shape) for shape in (lam, mu, nu))
     if sum(lam) != sum(mu) + sum(nu) or not contains(mu, lam):
         return 0
     return _count_fillings(lam, mu, nu, (), False)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import schurkron
-from schurkron import verify
+from schurkron import kronecker, verify
 from schurkron.cli import main
 from schurkron.partitions import enumerate_partitions
 from schurkron.verify import WorkerCountError, worker_count
@@ -75,6 +75,20 @@ class TestKronCommand:
         rc, _, err = run_cli("kron", "7", "3", "4,3", "--method", "theorem")
         assert rc == 3
         assert "domain" in err
+
+    @pytest.mark.parametrize(
+        "shapes", [("7", "3", "4,3"), ("7", "3", "4,3", "--nu", "4,3"), ("49", "9", "7^7")]
+    )
+    def test_theorem_refuses_before_any_engine_runs(self, shapes, monkeypatch, capsys):
+        def engine(*args):
+            raise AssertionError("an engine ran before the refusal")
+
+        for name in ("oracle_tworow_signed_sum", "oracle_tworow_signed_coeff", "_tableau_sum"):
+            monkeypatch.setattr(kronecker, name, engine)
+        code = main(["kron", *shapes, "--method", "theorem"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err.startswith("domain error: tableau rule needs lam_1 >= ")
 
     def test_parse_error_exit_2(self):
         rc, _, _ = run_cli("kron", "6", "1", "bogus")

@@ -274,8 +274,18 @@ WRONG_SIZE_CALLS = {
 }
 
 
+def _outcome(call, shape):
+    """The value of call(shape), or the type of the exception it raises."""
+    try:
+        return call(shape)
+    except Exception as err:
+        return type(err)
+
+
 class TestNonPartitions:
-    @pytest.mark.parametrize("bad", [(2, 3), (3, 0, 2), (6, -1), (4, 1, 0), (1, 2, 2)])
+    @pytest.mark.parametrize(
+        "bad", [(2, 3), (3, 0, 2), (6, -1), (4, 1, 0), (1, 2, 2), (3.0, 2), ("3", "2")]
+    )
     @pytest.mark.parametrize("call", NON_PARTITION_CALLS.values(), ids=NON_PARTITION_CALLS)
     def test_domain_error(self, call, bad):
         with pytest.raises(DomainError, match="not a partition"):
@@ -285,6 +295,19 @@ class TestNonPartitions:
     def test_wrong_size(self, call):
         with pytest.raises(DomainError, match=r"\(4, 2\) is not a partition of 5"):
             call()
+
+    def test_list_shapes_answer_as_tuples(self):
+        # the checks return tuples, so no entry point computes on a list
+        differ = {
+            name: (_outcome(call, [3, 2]), _outcome(call, (3, 2)))
+            for name, call in NON_PARTITION_CALLS.items()
+        }
+        assert {name: got for name, got in differ.items() if got[0] != got[1]} == {}
+
+    @pytest.mark.parametrize("n, p, lam", [(6, 2, [5, 1]), (20, 3, [10, 10]), (40, 4, [39, 1])])
+    def test_multiplicity_free_on_list_shapes(self, n, p, lam):
+        assert is_multiplicity_free(n, p, lam) == is_multiplicity_free(n, p, tuple(lam))
+        assert is_multiplicity_free(n, p, lam).multiplicity_free
 
     def test_unchecked_entry_points_now_refuse(self):
         # these returned 0, 1, raised IndexError and returned 1 in turn

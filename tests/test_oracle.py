@@ -312,6 +312,13 @@ class TestCaches:
         clear_caches()
         assert {name: c.cache_info().currsize for name, c in caches.items()} == dict.fromkeys(caches, 0)
 
+    def test_every_cache_is_bounded(self):
+        unbounded = [
+            name for name, c in _package_caches().items() if c.cache_info().maxsize is None
+        ]
+        assert unbounded == []
+        assert oracle._mn.cache_info().maxsize == oracle.MN_CACHE >= 469_267
+
     def test_single_coefficients_are_memoised_within_a_bound(self):
         assert kronecker._kron_coeff.cache_info().maxsize == kronecker.KRON_COEFF_CACHE
         clear_caches()

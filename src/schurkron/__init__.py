@@ -89,7 +89,6 @@ def clear_caches() -> None:
     for cache in (
         tableaux._cells,
         kronecker._kron_coeff,
-        oracle._mn,
         oracle._char_table,
     ):
         cache.cache_clear()

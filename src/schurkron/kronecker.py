@@ -149,10 +149,6 @@ def _rule_coeff(n: int, p: int, lam: Partition, nu: Partition) -> KronResult:
         value = oracle_tworow_signed_coeff(n, p, lam, nu)
     else:
         work_nu = nu if method == METHOD_ROWS else conjugate(nu)
-        # vanishing shortcuts are justified only where the tableau rule is exact
-        if sum(intersect(work, work_nu)) < p or len(work_nu) > len(work) + min(p, len(work)):
-            value = 0
-        else:
-            value = _tableau_sum(work, work_nu, p)
+        value = _tableau_sum(work, work_nu, p)
     upper = value if method == METHOD_ROWS else _tableau_sum(lam, nu, p)
     return KronResult(value, method, upper)

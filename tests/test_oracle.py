@@ -69,6 +69,19 @@ class TestMnCharacter:
                 )
                 assert total == (rho.z if rho.parts == sigma.parts else 0)
 
+    def test_table_matches_single_values(self):
+        # the table adds strips to the empty shape, mn_character removes
+        # them from lam, so each direction checks the other
+        for n in range(0, 13):
+            parts, _, chi, _, _, _ = oracle._char_table(n)
+            for lam, row in zip(parts, chi):
+                assert row == tuple(mn_character(lam, rho) for rho in parts), lam
+
+    def test_far_past_the_recursion_limit(self):
+        assert mn_character((1,) * 1200, (1,) * 1200) == 1
+        assert mn_character((1,) * 1200, (2,) + (1,) * 1198) == -1
+        assert mn_character((1200,), (1,) * 1200) == 1
+
 
 class TestDimension:
     def test_examples(self):
@@ -131,15 +144,17 @@ class TestCharacterKron:
             nu: g for nu, g in want.items() if g
         }
 
-    def test_size_limit(self):
+    def test_size_limit(self, monkeypatch):
+        def no_strips(*args):
+            raise AssertionError("a character value was computed")
+
+        # refused before a single character value is computed
+        monkeypatch.setattr(oracle, "_strips", no_strips)
         n = oracle.MAX_CHAR_N + 1
-        evals = oracle._mn.cache_info().misses
         with pytest.raises(DomainError, match="n <= "):
             oracle_character_kron((n,), (n - 1, 1))
         with pytest.raises(DomainError, match="n <= "):
             oracle_character_coeff((n,), (n,), (n,))
-        # refused before a single character value is computed
-        assert oracle._mn.cache_info().misses == evals
 
     def test_conjugation_invariance(self):
         for n in range(1, 10):
@@ -305,7 +320,6 @@ class TestCaches:
         assert set(caches) == {
             "tableaux._cells",
             "kronecker._kron_coeff",
-            "oracle._mn",
             "oracle._char_table",
         }
         assert all(c.cache_info().currsize for c in caches.values())
@@ -317,7 +331,6 @@ class TestCaches:
             name for name, c in _package_caches().items() if c.cache_info().maxsize is None
         ]
         assert unbounded == []
-        assert oracle._mn.cache_info().maxsize == oracle.MN_CACHE >= 469_267
 
     def test_single_coefficients_are_memoised_within_a_bound(self):
         assert kronecker._kron_coeff.cache_info().maxsize == kronecker.KRON_COEFF_CACHE

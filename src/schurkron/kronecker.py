@@ -9,14 +9,15 @@ and nu; when l(lam) >= 2p-1 the same rule applies to the conjugates.  Outside
 both ranges the signed-sum oracle is used, and the alpha-sum is still an
 upper bound.
 
-The full expansion runs the rule.  A single coefficient is computed by
-composing Littlewood-Richardson numbers on skew shapes of at most p cells
-(``oracle_tworow_signed_coeff``): for one nu that is far less work than the
-rule, and its walks do not deepen with n.  The method tag still names the
-theorem that makes the value exact, and ``_rule_coeff`` keeps the rule's own
-single coefficient as the reference it is tested against.  ``kron_coeff``
-keeps its whole answers, value, tag and bound, in one bounded memo; the
-engines underneath it are uncached.
+The full expansion runs the rule, whose walk of lam/alpha has n - p cells;
+above RULE_MAX_CELLS of them it takes the signed sum instead, whose walks
+have at most p cells.  A single coefficient comes from the signed sum in
+count mode (``oracle_tworow_signed_coeff``) on every route: for one nu that
+is far less work than the rule, and its walks do not deepen with n.  The
+method tag still names the theorem that makes the value exact, and
+``_rule_coeff`` keeps the rule's own single coefficient as the reference it
+is tested against.  ``kron_coeff`` keeps its whole answers, value, tag and
+bound, in one bounded memo; the engines underneath it are uncached.
 """
 
 from __future__ import annotations
@@ -98,15 +99,22 @@ def kron_upper_bound(p: int, lam: Partition, nu: Partition) -> int:
     return _tableau_sum(lam, nu, p)
 
 
+RULE_MAX_CELLS = 500
+"""Most cells the rule's full expansion walks, one recursion frame each,
+safely below Python's default recursion limit of 1000.  Deeper expansions
+come from the signed sum, whose walks have at most p cells."""
+
+
 def kron_expand_tworow(n: int, p: int, lam: Partition) -> KronExpansion:
     """Full expansion of s_{(n-p,p)} * s_lam.
 
     Uses the tableau rule on lam when lam_1 >= 2p-1, on the conjugate when
-    l(lam) >= 2p-1, and the signed-sum oracle otherwise.
+    l(lam) >= 2p-1, and the signed-sum oracle otherwise, or when the rule
+    would walk more than RULE_MAX_CELLS cells; the tag names the route.
     """
     (lam,) = check_tworow_args(n, p, lam)
     method, work = _route(p, lam)
-    if method == METHOD_ORACLE:
+    if method == METHOD_ORACLE or n - p > RULE_MAX_CELLS:
         return KronExpansion(oracle_tworow_signed_sum(n, p, lam), method)
     buckets: dict[Partition, int] = {}
     for alpha in enumerate_partitions(p, inside=work):
@@ -119,14 +127,14 @@ def kron_expand_tworow(n: int, p: int, lam: Partition) -> KronExpansion:
 KRON_COEFF_CACHE = 4096
 """Answers kept by ``kron_coeff``, the package's one memo of single
 coefficients.  A repeated query then costs a lookup instead of a new
-composition and bound, and the memory stays bounded however many distinct
+signed sum and bound, and the memory stays bounded however many distinct
 queries a process makes."""
 
 
 def kron_coeff(n: int, p: int, lam: Partition, nu: Partition) -> KronResult:
     """Single coefficient of s_nu in s_{(n-p,p)} * s_lam with its method tag
     and the tableau-count upper bound (the rule's sum on lam itself).  The
-    value comes from LR composition on every route; the last
+    value comes from the signed sum in count mode on every route; the last
     KRON_COEFF_CACHE distinct answers are kept."""
     return _kron_coeff(n, p, *check_tworow_args(n, p, lam, nu))
 
@@ -142,7 +150,7 @@ def _kron_coeff(n: int, p: int, lam: Partition, nu: Partition) -> KronResult:
 
 def _rule_coeff(n: int, p: int, lam: Partition, nu: Partition) -> KronResult:
     """``kron_coeff`` with the value counted by the tableau rule on its
-    routes: the paper's theorem as the reference for LR composition."""
+    routes: the paper's theorem as the reference for the signed sum."""
     lam, nu = check_tworow_args(n, p, lam, nu)
     method, work = _route(p, lam)
     if method == METHOD_ORACLE:

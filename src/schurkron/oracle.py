@@ -1,19 +1,25 @@
 """Two independent ground truths for Kronecker products.
 
 The signed-sum oracle expands s_{(n-p,p)} * s_lam as
-sum over a |- p contained in lam of s_a s_{lam/a}
-minus the same sum over b |- p-1, pure tableau combinatorics valid for every
-lam.  It has two code paths.  The full expansion walks every lam/a.  A single
-coefficient of s_nu uses <s_a s_{lam/a}, s_nu> = sum over mu of
-c^lam_{mu a} c^nu_{mu a}, with mu inside lam and nu and |mu| = n - |a|; the mu
-come from removing |lam & nu| - (n - |a|) <= |a| boxes of the intersection,
-and one walk of lam/mu and one of nu/mu, each of only |a| cells, give c_{mu a}
-for every a at once.  Walking lam/a instead costs far more when only one nu is
-wanted, and its depth grows with n.  This composition is what
-``kronecker.kron_coeff`` runs on every route, whose memo keeps the answers;
-this function itself is uncached.  The full expansion keeps the walk of
-lam/a because it needs every nu, and there composing LR numbers is several
-times slower.
+sum over a |- p inside lam of s_a s_{lam/a}, minus the same sum over
+b |- p-1, pure tableau combinatorics valid for every lam.  It computes each
+sum through the identity, for k <= n,
+
+    sum over a |- k inside lam of s_a s_{lam/a}
+        = sum over mu |- n-k inside lam of s_mu s_{lam/mu}.
+
+Proof: s_{lam/a} = sum over mu of c^lam_{a mu} s_mu, so the left side is
+sum over a and mu of c^lam_{a mu} s_a s_mu; since c^lam_{a mu} = c^lam_{mu a}
+and sum over a of c^lam_{mu a} s_a = s_{lam/mu}, this is the right side.
+The mu are levels p and p-1 of ``shrink``, and s_mu s_{lam/mu} is one walk
+of the mu-lattice fillings of lam/mu, so no walk has more than p cells
+however large n is.  The full expansion runs those walks in expand mode.  A
+single coefficient of s_nu runs them in count mode with target nu; only
+mu inside nu reach it, so mu comes from shrinking lam & nu instead.  The
+lattice lets each cell take any value up to l(mu) + 1, so the coefficient
+walks the wider of lam and its conjugate, with nu conjugated too, which
+leaves g unchanged.  ``kronecker.kron_coeff`` runs this coefficient on
+every route and keeps the answers in its memo; this function is uncached.
 
 The character oracle evaluates the triple character sum
 g = sum over cycle types rho of chi^lam chi^mu chi^nu / z_rho with exact
@@ -38,7 +44,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .expansion import SchurExpansion
 from .partitions import (
@@ -50,9 +56,10 @@ from .partitions import (
     conjugate,
     enumerate_partitions,
     intersect,
+    part,
     shrink,
 )
-from .tableaux import _expand_fillings
+from .tableaux import _count_fillings, _expand_fillings
 
 
 class CycleType(NamedTuple):
@@ -75,17 +82,18 @@ def cycle_types(n: int) -> list[CycleType]:
 
 
 def oracle_tworow_signed_sum(n: int, p: int, lam: Partition) -> SchurExpansion:
-    """Full expansion of s_{(n-p,p)} * s_lam by the signed skew-product sum."""
+    """Full expansion of s_{(n-p,p)} * s_lam by the signed sum: the walks of
+    lam/mu for mu |- n-p inside lam, minus those for mu |- n-p+1."""
     (lam,) = check_tworow_args(n, p, lam)
+    levels = shrink(lam, p)
     acc: dict[Partition, int] = {}
-    for alpha in enumerate_partitions(p, inside=lam):
-        _expand_fillings(lam, alpha, alpha, kron=False, out=acc)
-    if p >= 1:
-        neg: dict[Partition, int] = {}
-        for beta in enumerate_partitions(p - 1, inside=lam):
-            _expand_fillings(lam, beta, beta, kron=False, out=neg)
-        for nu, c in neg.items():
-            acc[nu] = acc.get(nu, 0) - c
+    for mu in levels[p]:
+        _expand_fillings(lam, mu, mu, kron=False, out=acc)
+    neg: dict[Partition, int] = {}
+    for mu in levels[p - 1] if p else ():
+        _expand_fillings(lam, mu, mu, kron=False, out=neg)
+    for nu, c in neg.items():
+        acc[nu] = acc.get(nu, 0) - c
     bad = {nu: c for nu, c in acc.items() if c < 0}
     if bad:
         raise InvariantError(f"signed sum went negative: {bad}")
@@ -93,32 +101,23 @@ def oracle_tworow_signed_sum(n: int, p: int, lam: Partition) -> SchurExpansion:
 
 
 def oracle_tworow_signed_coeff(n: int, p: int, lam: Partition, nu: Partition) -> int:
-    """Single coefficient of s_nu in s_{(n-p,p)} * s_lam, same signed sum
-    composed from Littlewood-Richardson numbers on skew shapes of at most p
-    cells."""
+    """Single coefficient of s_nu in s_{(n-p,p)} * s_lam: the same signed sum
+    in count mode, one walk of at most p cells per mu inside lam & nu, on the
+    wider of lam and its conjugate."""
     lam, nu = check_tworow_args(n, p, lam, nu)
+    asked = nu
+    if len(lam) > part(lam, 1):
+        lam, nu = conjugate(lam), conjugate(nu)
     inter = intersect(lam, nu)
     surplus = sum(inter) - (n - p)
     if surplus < 0:
         return 0
     levels = shrink(inter, surplus)
-    total = _lr_pairs(lam, nu, levels[surplus])
-    if p >= 1 and surplus >= 1:
-        total -= _lr_pairs(lam, nu, levels[surplus - 1])
+    total = sum(_count_fillings(lam, mu, nu, mu, False) for mu in levels[surplus])
+    for mu in levels[surplus - 1] if surplus else ():  # surplus <= p
+        total -= _count_fillings(lam, mu, nu, mu, False)
     if total < 0:
-        raise InvariantError(f"signed sum went negative at {nu}: {total}")
-    return total
-
-
-def _lr_pairs(lam: Partition, nu: Partition, mus: Iterable[Partition]) -> int:
-    """Sum over mu in mus and a of c^lam_{mu a} c^nu_{mu a}: one walk of
-    lam/mu and one of nu/mu give every c_{mu a} at once."""
-    total = 0
-    for mu in mus:
-        left = _expand_fillings(lam, mu, (), False)
-        if left:
-            right = _expand_fillings(nu, mu, (), False)
-            total += sum(c * right.get(a, 0) for a, c in left.items())
+        raise InvariantError(f"signed sum went negative at {asked}: {total}")
     return total
 
 

@@ -140,7 +140,7 @@ def suite_oracles(nmax: int, pmax: int) -> tuple[int, list[str]]:
 
 def suite_formulas(nmax: int, pmax: int) -> tuple[int, list[str]]:
     """Closed formulas on their stated domains: tworow and nu334 against
-    ``kron_coeff`` (LR composition); hook, rect-p2 and p1 against the
+    ``kron_coeff`` (the signed sum); hook, rect-p2 and p1 against the
     tableau rule's expansion; tworow2 against the tworow formula."""
     tasks: list = []
     for n in range(2, nmax + 1):

@@ -90,6 +90,13 @@ class TestKronCommand:
         assert (code, out) == (3, "")
         assert err.startswith("domain error: tableau rule needs lam_1 >= ")
 
+    def test_deep_full_expansion(self):
+        # the rule's walk would have 998 cells; the signed sum's have 2
+        rc, out, err = run_cli("kron", "1000", "2", "500,500")
+        assert rc == 0 and "Traceback" not in err
+        assert "method=tableau_rule" in out
+        assert "500,498,2 : 1" in out
+
     def test_parse_error_exit_2(self):
         rc, _, _ = run_cli("kron", "6", "1", "bogus")
         assert rc == 2

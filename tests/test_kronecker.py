@@ -43,6 +43,7 @@ from schurkron import (
     skew_times_alpha,
     tworow_target_coeff,
 )
+from schurkron import kronecker
 from schurkron.kronecker import _route, _rule_coeff, two_row
 from schurkron.tableaux import _expand_fillings
 
@@ -148,6 +149,36 @@ class TestKronExpand:
                 for lam in enumerate_partitions(n):
                     got = kron_expand_tworow(n, p, lam).expansion
                     assert got == oracle_tworow_signed_sum(n, p, lam), (n, p, lam)
+
+    def test_signed_sum_past_the_depth_limit_matches_the_rule(self, monkeypatch):
+        # with RULE_MAX_CELLS at 0 every route takes the signed sum
+        rule = {
+            (n, p, lam): kron_expand_tworow(n, p, lam)
+            for n in range(1, 13)
+            for p in range(0, n // 2 + 1)
+            for lam in enumerate_partitions(n)
+        }
+        monkeypatch.setattr(kronecker, "RULE_MAX_CELLS", 0)
+        for (n, p, lam), want in rule.items():
+            assert kron_expand_tworow(n, p, lam) == want, (n, p, lam)
+        assert len(rule) == 1538
+
+    @pytest.mark.parametrize(
+        "n, p, lam, method, terms",
+        [
+            (1000, 2, (500, 500), METHOD_ROWS, 6),
+            (1000, 4, (996, 4), METHOD_ROWS, 35),
+            (1200, 2, (1,) * 1200, METHOD_CONJUGATE, 1),
+            (3000, 6, (1000, 1000, 1000), METHOD_ROWS, 152),
+        ],
+    )
+    def test_deep_expansions(self, n, p, lam, method, terms):
+        # the rule would walk n - p cells, far past the recursion limit
+        result = kron_expand_tworow(n, p, lam)
+        assert result.method == method
+        assert len(result.expansion.as_dict()) == terms
+        total = sum(c * dimension(nu) for nu, c in result.expansion.items_desc())
+        assert total == dimension((n - p, p)) * dimension(lam)
 
 
 class TestKronCoeff:
@@ -366,9 +397,10 @@ class TestLemma31:
 
 
 class TestDifferential:
-    """The tableau rule (on lam or its conjugate), LR composition (the value
-    of ``kron_coeff``) and the character oracle are three separate
-    computations of one number; the signed-sum expansion is a fourth."""
+    """The tableau rule (on lam or its conjugate), the signed sum in count
+    mode (the value of ``kron_coeff``) and the character oracle are three
+    separate computations of one number; the signed-sum expansion is a
+    fourth."""
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -423,8 +455,9 @@ def _box_moves(rng, lam, moves):
 
 
 class TestLRComposition:
-    """``kron_coeff`` takes its value from LR composition on every route; the
-    tableau rule, kept as ``_rule_coeff``, is the reference."""
+    """``kron_coeff`` takes its value from the signed sum in count mode on
+    every route; the tableau rule, kept as ``_rule_coeff``, is the
+    reference."""
 
     def test_matches_rule_on_stream_queries(self):
         # queries shaped like a coefficient stream: n 22..36, p 2..6, lam
@@ -456,7 +489,7 @@ class TestLRComposition:
     def test_stable_values_at_large_n(self):
         # g_{(n-p,p),(n-k,lam'),(n-k,nu')} no longer depends on n once the
         # first rows are long: the rule at a small stable n must agree with
-        # LR composition at n = 1500
+        # the signed sum at n = 1500
         cases = 0
         for k in range(7):
             for p in range(1, 5):

@@ -1,9 +1,18 @@
 """Deep shapes must not meet Python's recursion limit, so the package keeps
 recursion to one place: the fill engine's ``rec`` inside ``tableaux._fill``.
-Every other function that calls itself by name is reported here."""
+Every other function that calls itself by name is reported here, and the
+signed sums, which answer the deep queries, must keep each walk within p
+cells, whatever n is."""
 
 import ast
 from pathlib import Path
+
+from schurkron import (
+    enumerate_partitions,
+    oracle_tworow_signed_coeff,
+    oracle_tworow_signed_sum,
+    tableaux,
+)
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "schurkron"
 
@@ -27,3 +36,22 @@ def test_only_the_fill_engine_recurses():
         for name in _self_calls(path.read_text(encoding="utf-8"))
     ]
     assert found == ["tableaux.rec"]
+
+
+def test_signed_sums_walk_at_most_p_cells(monkeypatch):
+    walks = []
+    fill = tableaux._fill
+
+    def sized_fill(outer, inner, *args, **kwargs):
+        walks.append(sum(outer) - sum(inner))
+        return fill(outer, inner, *args, **kwargs)
+
+    monkeypatch.setattr(tableaux, "_fill", sized_fill)
+    for n in range(1, 11):
+        for p in range(0, n // 2 + 1):
+            for lam in enumerate_partitions(n):
+                walks.clear()
+                oracle_tworow_signed_sum(n, p, lam)
+                for nu in enumerate_partitions(n):
+                    oracle_tworow_signed_coeff(n, p, lam, nu)
+                assert walks and max(walks) <= p, (n, p, lam)

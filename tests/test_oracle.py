@@ -208,7 +208,8 @@ class TestSignedSum:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_single_coeff_matches_full_random(self, data):
-        # the coefficient composes LR numbers, the full sum walks lam/alpha
+        # the coefficient counts on the wider of lam and its conjugate, the
+        # full sum expands on lam itself
         n = data.draw(st.integers(1, 14))
         p = data.draw(st.integers(0, n // 2))
         shapes = list(enumerate_partitions(n))
@@ -226,6 +227,23 @@ class TestSignedSum:
         assert oracle_tworow_signed_coeff(1200, 2, column, (2, 2) + (1,) * 1196) == 1
         assert oracle_tworow_signed_coeff(1200, 2, column, (2,) + (1,) * 1198) == 0
         assert oracle_tworow_signed_coeff(1200, 2, column, conjugate(column)) == 0
+
+    def test_deep_full_expansion(self):
+        # s_{(n-2,2)} * s_{1^n} = s_{(2,2,1^{n-4})}, with lam/mu of 1 or 2 cells
+        column = (1,) * 1200
+        assert oracle_tworow_signed_sum(1200, 2, column).as_dict() == {
+            (2, 2) + (1,) * 1196: 1
+        }
+
+    def test_murnaghan_stability(self):
+        # once lam_1 is long the expansion only shifts its first rows with n:
+        # n = 10^6 against n = 708, term by term
+        shift = 10**6 - 708
+        large = oracle_tworow_signed_sum(10**6, 4, (999600, 300, 100))
+        small = oracle_tworow_signed_sum(708, 4, (308, 300, 100))
+        back = {(nu[0] - shift, *nu[1:]): c for nu, c in large.items_desc()}
+        assert back == small.as_dict()
+        assert len(back) == 259
 
     def test_validates_inputs(self):
         with pytest.raises(DomainError):
@@ -245,9 +263,9 @@ class TestInvariantErrors:
         clear_caches()
 
     def test_signed_sum_going_negative(self, monkeypatch):
-        # count only the subtracted beta |- p-1 terms
+        # fill only the walks of the subtracted level, lam/mu of p-1 = 1 cell
         def fake(outer, inner, alpha, kron, out=None, cap=None):
-            if sum(alpha) == 1:
+            if sum(outer) - sum(inner) == 1:
                 out[outer] = out.get(outer, 0) + 1
             return out
 
@@ -256,13 +274,16 @@ class TestInvariantErrors:
             oracle_tworow_signed_sum(5, 2, (3, 2))
 
     def test_signed_coeff_going_negative(self, monkeypatch):
-        # fill only the skew shapes of the subtracted p-1 = 1 cell terms
-        def fake(outer, inner, alpha, kron, out=None, cap=None):
-            return {(1,): 1} if sum(outer) - sum(inner) == 1 else {}
+        # count only the walks of the subtracted level, lam/mu of p-1 = 1 cell
+        def fake(outer, inner, nu, alpha, kron):
+            return 1 if sum(outer) - sum(inner) == 1 else 0
 
-        monkeypatch.setattr(oracle, "_expand_fillings", fake)
+        monkeypatch.setattr(oracle, "_count_fillings", fake)
         with pytest.raises(InvariantError, match="went negative"):
             oracle_tworow_signed_coeff(5, 2, (3, 2), (3, 2))
+        # a tall lam is counted on its conjugate; the message names nu as given
+        with pytest.raises(InvariantError, match=r"went negative at \(2, 2, 1\)"):
+            oracle_tworow_signed_coeff(5, 2, (2, 2, 1), (2, 2, 1))
 
     @staticmethod
     def _fake_table(monkeypatch, chi):

@@ -7,7 +7,9 @@ lam_1 >= 2p-1 the coefficient of s_nu in s_{(n-p,p)} * s_lam equals the number
 of Kronecker tableaux summed over alpha |- p inside the intersection of lam
 and nu; when l(lam) >= 2p-1 the same rule applies to the conjugates.  Outside
 both ranges the signed-sum oracle is used, and the alpha-sum is still an
-upper bound.
+upper bound.  That bound mostly comes from the per-alpha lemma of
+``_alpha_bound``, whose walks have at most p cells; only an alpha with
+alpha_1 > alpha_2 and 2 alpha_1 - 1 > lam_1 walks its Kronecker tableaux.
 
 The full expansion runs the rule, whose walk of lam/alpha has n - p cells;
 above RULE_MAX_CELLS of them it takes the signed sum instead, whose walks
@@ -26,7 +28,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .expansion import SchurExpansion
-from .oracle import oracle_tworow_signed_coeff, oracle_tworow_signed_sum
+from .oracle import _coeff_levels, oracle_tworow_signed_coeff, oracle_tworow_signed_sum
 from .partitions import (
     Partition,
     check_partition,
@@ -85,18 +87,103 @@ def kronecker_tableau_count(lam: Partition, alpha: Partition, nu: Partition) -> 
 
 def _tableau_sum(lam: Partition, nu: Partition, p: int) -> int:
     """The rule's sum on checked shapes of one size; every alpha lies inside
-    lam & nu, so the counts need no guards."""
+    lam & nu, so the counts need no guards.  The reference for
+    ``_alpha_bound``, which gives the same number with shorter walks."""
     return sum(
         _count_fillings(lam, alpha, nu, alpha, True)
         for alpha in enumerate_partitions(p, inside=intersect(lam, nu))
     )
 
 
+def _lr_squares(
+    lam: Partition, nu: Partition, mus: set[Partition]
+) -> dict[Partition, int]:
+    """{alpha: sum over mu in mus of c^lam_{mu alpha} c^nu_{mu alpha}}, from
+    one unshifted walk of lam/mu and one of nu/mu per mu."""
+    out: dict[Partition, int] = {}
+    for mu in mus:
+        right = _expand_fillings(nu, mu, (), False)
+        for alpha, c in _expand_fillings(lam, mu, (), False).items():
+            if alpha in right:
+                out[alpha] = out.get(alpha, 0) + c * right[alpha]
+    return out
+
+
+def _alpha_bound(lam: Partition, nu: Partition, p: int) -> int:
+    """``_tableau_sum(lam, nu, p)``, with most alpha counted by short walks.
+
+    Write L_a = <s_a s_{lam/a}, s_nu>, the number of a-lattice SSYT of shape
+    lam/a and type nu - a; K_a for the Kronecker tableaux among them; and a-
+    for a with one box taken off row 1.  Then
+
+        K_a = L_a           when a_1 == a_2,
+        K_a = L_a - L_{a-}  when a_1 > a_2 and lam_1 >= 2 a_1 - 1,
+        K_a >= L_a - L_{a-} when a_1 > a_2.
+
+    Proof.  The first line is condition (I).  Let a_1 > a_2, so a- is a
+    partition.  The reverse reading word starts with row 1, read right to
+    left, largest values first, so in an a-lattice word each k >= 3 of row 1
+    is read before any k-1 and row 1 holds at most a_{k-1} - a_k of them;
+    each 2 of row 1 is read before any 1, so it holds at most a_1 - a_2 2's,
+    and with exactly that many the filling is a Kronecker tableau.
+
+    The injection.  Let T be an a- -lattice SSYT of shape lam/a- and type
+    nu - a- with a 1 in the leftmost cell of its row 1, box (1, a_1), and
+    let S be T without that cell: shape lam/a, type nu - a.  S is
+    semistandard.  It is a-lattice: the shift by a instead of a- adds one to
+    the 1-tally, so before the deleted cell S's tallies are T's with one
+    more 1, and from that cell on they are T's.  S is no Kronecker tableau:
+    box (2, a_1), below the deleted 1, holds more than 1 or lies outside
+    lam, and row 1 keeps T's 2's, at most a_1 - 1 - a_2 by the count above
+    with a-.  Conversely, put a 1 in box (1, a_1) of an a-lattice S that is
+    no Kronecker tableau, so with no 1 below that box and at most
+    a_1 - a_2 - 1 2's in row 1.  The result T is semistandard, and
+    a- -lattice: the tallies of the values >= 2 are S's throughout; while
+    row 1 is read, the 1-tally is at least a_1 - 1, which is at least the
+    2-tally a_2 + (2's read); and from the new 1 on, every tally is S's.
+    The two maps are inverse, so
+
+        K_a = L_a - #(T with a 1 in box (1, a_1)) >= L_a - L_{a-}.
+
+    A row 1 of T without a 1 holds at most a_1 - 1 cells (the counts above
+    with a-, summed), and row 1 of lam/a- has lam_1 - a_1 + 1 cells, so when
+    lam_1 >= 2 a_1 - 1 every T has a 1 in box (1, a_1) and equality holds.
+    This is the lemma behind ``skew.positivity_diff``, for one coefficient;
+    summed over a when lam_1 >= 2p - 1, it is the paper's theorem.
+
+    The L come from s_{lam/a} = sum over mu |- n-p of c^lam_{mu a} s_mu:
+    L_a = sum over mu of c^lam_{mu a} c^nu_{mu a}, and mu lies inside
+    lam & nu.  One unshifted walk of lam/mu and one of nu/mu, at most p
+    cells each, give these numbers for every a at once; the mu of size
+    n-p+1 give the L_{a-}, and are walked only when some a needs them.
+    Kronecker tableaux are a-lattice SSYT, so an a with L_a = 0 adds
+    nothing.  Only the a left, with a_1 > a_2 and 2 a_1 - 1 > lam_1, walk
+    their Kronecker tableaux of lam/a, which have n - p cells.
+    """
+    top, below = _coeff_levels(lam, nu, p)
+    bound = 0
+    minus = []
+    for alpha, count in _lr_squares(lam, nu, top).items():
+        a1 = part(alpha, 1)
+        if a1 == part(alpha, 2):
+            bound += count
+        elif lam[0] >= 2 * a1 - 1:
+            bound += count
+            minus.append((a1 - 1, *alpha[1:]) if a1 > 1 else ())
+        else:
+            bound += _count_fillings(lam, alpha, nu, alpha, True)
+    if minus:
+        smaller = _lr_squares(lam, nu, below)
+        bound -= sum(smaller.get(beta, 0) for beta in minus)
+    return bound
+
+
 def kron_upper_bound(p: int, lam: Partition, nu: Partition) -> int:
     """Sum of Kronecker tableau counts over alpha |- p inside lam and nu;
-    an upper bound for g_{(n-p,p),lam,nu}, exact when lam_1 >= 2p-1."""
+    an upper bound for g_{(n-p,p),lam,nu}, exact when lam_1 >= 2p-1.  Most
+    alpha are counted from walks of at most p cells (``_alpha_bound``)."""
     lam, nu = check_tworow_args(sum(check_partition(lam)), p, lam, nu)
-    return _tableau_sum(lam, nu, p)
+    return _alpha_bound(lam, nu, p)
 
 
 RULE_MAX_CELLS = 500
@@ -144,7 +231,7 @@ def _kron_coeff(n: int, p: int, lam: Partition, nu: Partition) -> KronResult:
     """``kron_coeff`` on checked arguments, memoised."""
     value = oracle_tworow_signed_coeff(n, p, lam, nu)
     method, _ = _route(p, lam)
-    upper = value if method == METHOD_ROWS else _tableau_sum(lam, nu, p)
+    upper = value if method == METHOD_ROWS else _alpha_bound(lam, nu, p)
     return KronResult(value, method, upper)
 
 

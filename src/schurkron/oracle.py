@@ -100,6 +100,19 @@ def oracle_tworow_signed_sum(n: int, p: int, lam: Partition) -> SchurExpansion:
     return SchurExpansion(acc)
 
 
+def _coeff_levels(
+    lam: Partition, nu: Partition, p: int
+) -> tuple[set[Partition], set[Partition]]:
+    """The mu |- n-p and the mu |- n-p+1 inside lam & nu, for lam, nu |- n;
+    a single coefficient of s_nu only meets walks of lam/mu for these mu."""
+    inter = intersect(lam, nu)
+    surplus = sum(inter) - (sum(lam) - p)
+    if surplus < 0:
+        return set(), set()
+    levels = shrink(inter, surplus)
+    return levels[surplus], levels[surplus - 1] if surplus else set()
+
+
 def oracle_tworow_signed_coeff(n: int, p: int, lam: Partition, nu: Partition) -> int:
     """Single coefficient of s_nu in s_{(n-p,p)} * s_lam: the same signed sum
     in count mode, one walk of at most p cells per mu inside lam & nu, on the
@@ -108,14 +121,9 @@ def oracle_tworow_signed_coeff(n: int, p: int, lam: Partition, nu: Partition) ->
     asked = nu
     if len(lam) > part(lam, 1):
         lam, nu = conjugate(lam), conjugate(nu)
-    inter = intersect(lam, nu)
-    surplus = sum(inter) - (n - p)
-    if surplus < 0:
-        return 0
-    levels = shrink(inter, surplus)
-    total = sum(_count_fillings(lam, mu, nu, mu, False) for mu in levels[surplus])
-    for mu in levels[surplus - 1] if surplus else ():  # surplus <= p
-        total -= _count_fillings(lam, mu, nu, mu, False)
+    top, below = _coeff_levels(lam, nu, p)
+    total = sum(_count_fillings(lam, mu, nu, mu, False) for mu in top)
+    total -= sum(_count_fillings(lam, mu, nu, mu, False) for mu in below)
     if total < 0:
         raise InvariantError(f"signed sum went negative at {asked}: {total}")
     return total

@@ -97,6 +97,14 @@ class TestKronCommand:
         assert "method=tableau_rule" in out
         assert "500,498,2 : 1" in out
 
+    def test_deep_conjugate_upper_bound(self):
+        # the bound's walks have 2 cells; the rule's count would have 1198
+        rc, out, err = run_cli(
+            "kron", "1200", "2", "1^1200", "--nu", "2,2,1^1196", "--method", "oracle-signed"
+        )
+        assert rc == 0 and "Traceback" not in err
+        assert "method=oracle_signed_sum value=1 upper_bound=1" in out
+
     def test_parse_error_exit_2(self):
         rc, _, _ = run_cli("kron", "6", "1", "bogus")
         assert rc == 2

@@ -44,8 +44,8 @@ from schurkron import (
     tworow_target_coeff,
 )
 from schurkron import kronecker
-from schurkron.kronecker import _route, _rule_coeff, two_row
-from schurkron.tableaux import _expand_fillings
+from schurkron.kronecker import _alpha_bound, _route, _rule_coeff, _tableau_sum, two_row
+from schurkron.tableaux import _count_fillings, _expand_fillings
 
 
 class TestKroneckerTableauCount:
@@ -248,6 +248,65 @@ class TestUpperBound:
                     expansion = oracle_tworow_signed_sum(n, p, lam)
                     for nu in enumerate_partitions(n):
                         assert kron_upper_bound(p, lam, nu) >= expansion[nu]
+
+
+class TestAlphaBound:
+    """``_alpha_bound`` takes most alpha of the rule's sum from the per-alpha
+    lemma; ``_tableau_sum``, which walks every alpha, is the reference."""
+
+    def test_per_alpha_lemma(self):
+        # K_a against L_a - L_{a-}, L counted as a-lattice SSYT of lam/a
+        cases = {"equal": 0, "at least": 0}
+        for n in range(1, 10):
+            shapes = list(enumerate_partitions(n))
+            for lam in shapes:
+                for nu in shapes:
+                    common = intersect(lam, nu)
+                    for k in range(1, n + 1):
+                        for alpha in enumerate_partitions(k, inside=common):
+                            kron = kronecker_tableau_count(lam, alpha, nu)
+                            lattice = _count_fillings(lam, alpha, nu, alpha, False)
+                            if part(alpha, 1) == part(alpha, 2):
+                                assert kron == lattice, (lam, alpha, nu)
+                                continue
+                            minus = (alpha[0] - 1, *alpha[1:]) if alpha[0] > 1 else ()
+                            diff = lattice - _count_fillings(lam, minus, nu, minus, False)
+                            if lam[0] >= 2 * alpha[0] - 1:
+                                assert kron == diff, (lam, alpha, nu)
+                                cases["equal"] += 1
+                            else:
+                                assert kron >= diff, (lam, alpha, nu)
+                                cases["at least"] += kron > diff
+        assert cases["equal"] and cases["at least"]
+
+    def test_matches_tableau_sum_small(self):
+        # every route and every p
+        for n in range(0, 11):
+            shapes = list(enumerate_partitions(n))
+            for p in range(0, n // 2 + 1):
+                for lam in shapes:
+                    for nu in shapes:
+                        assert _alpha_bound(lam, nu, p) == _tableau_sum(lam, nu, p), (p, lam, nu)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_tableau_sum_random(self, data):
+        # nu shares at least n - p boxes with lam, else both sides are 0
+        n = data.draw(st.integers(11, 20))
+        p = data.draw(st.integers(0, n // 2))
+        shapes = list(enumerate_partitions(n))
+        lam = data.draw(st.sampled_from(shapes))
+        near = [nu for nu in shapes if sum(intersect(lam, nu)) >= n - p]
+        nu = data.draw(st.sampled_from(near))
+        assert _alpha_bound(lam, nu, p) == _tableau_sum(lam, nu, p)
+        assert kron_upper_bound(p, lam, nu) == _tableau_sum(lam, nu, p)
+
+    def test_deep_conjugate_query(self):
+        # only alpha = (1, 1) fits, which the lemma takes from 2-cell walks;
+        # the rule's count walks 1198 cells
+        lam, nu = (1,) * 1200, (2, 2) + (1,) * 1196
+        assert kron_coeff(1200, 2, lam, nu) == KronResult(1, METHOD_CONJUGATE, 1)
+        assert kron_upper_bound(2, lam, nu) == 1
 
 
 # each entry point with every shape slot filled by a bad shape of size 5

@@ -2,15 +2,18 @@
 recursion to one place: the fill engine's ``rec`` inside ``tableaux._fill``.
 Every other function that calls itself by name is reported here, and the
 signed sums, which answer the deep queries, must keep each walk within p
-cells, whatever n is."""
+cells, whatever n is; so must the upper bound, but for the Kronecker walks
+of the alpha that its lemma does not cover."""
 
 import ast
 from pathlib import Path
 
 from schurkron import (
     enumerate_partitions,
+    kron_upper_bound,
     oracle_tworow_signed_coeff,
     oracle_tworow_signed_sum,
+    part,
     tableaux,
 )
 
@@ -55,3 +58,26 @@ def test_signed_sums_walk_at_most_p_cells(monkeypatch):
                 for nu in enumerate_partitions(n):
                     oracle_tworow_signed_coeff(n, p, lam, nu)
                 assert walks and max(walks) <= p, (n, p, lam)
+
+
+def test_upper_bound_walks_at_most_p_cells_but_for_hard_alpha(monkeypatch):
+    long_walks = []
+    fill = tableaux._fill
+
+    def sized_fill(outer, inner, alpha, kron, *args, **kwargs):
+        if sum(outer) - sum(inner) > p:
+            long_walks.append((inner, alpha, kron))
+        return fill(outer, inner, alpha, kron, *args, **kwargs)
+
+    monkeypatch.setattr(tableaux, "_fill", sized_fill)
+    for n in range(1, 11):
+        for p in range(0, n // 2 + 1):
+            for lam in enumerate_partitions(n):
+                for nu in enumerate_partitions(n):
+                    long_walks.clear()
+                    kron_upper_bound(p, lam, nu)
+                    # a hard alpha: a_1 > a_2 and 2 a_1 - 1 > lam_1
+                    for inner, alpha, kron in long_walks:
+                        assert kron and inner == alpha, (p, lam, nu, alpha)
+                        a1 = part(alpha, 1)
+                        assert a1 > part(alpha, 2) and 2 * a1 - 1 > lam[0], (p, lam, nu, alpha)

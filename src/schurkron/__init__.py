@@ -8,7 +8,7 @@ oracle, with closed formulas and multiplicity-freeness classifications on
 top.
 """
 
-from . import kronecker, oracle, tableaux
+from . import kronecker, oracle
 from .expansion import SchurExpansion
 from .formulas import (
     MfreeVerdict,
@@ -87,7 +87,6 @@ def clear_caches() -> None:
     """Empty every memo in the package, so that the next call computes
     afresh (for timing, or before patching an engine underneath a cache)."""
     for cache in (
-        tableaux._cells,
         kronecker._kron_coeff,
         oracle._char_table,
     ):

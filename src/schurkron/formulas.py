@@ -12,27 +12,18 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .expansion import SchurExpansion
-from .kronecker import (
-    METHOD_CONJUGATE,
-    METHOD_ORACLE,
-    _route,
-    _tableau_sum,
-    kron_coeff,
-)
-from .oracle import oracle_tworow_signed_sum
+from .kronecker import _expand, kron_coeff
 from .partitions import (
     DomainError,
     Partition,
     addable_rows,
     add_box,
     check_partition,
-    conjugate,
-    enumerate_partitions,
     part,
     removable_rows,
     remove_box,
 )
-from .tableaux import CapReached, _expand_fillings
+from .tableaux import CapReached
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -41,6 +32,7 @@ def _ceil_div(a: int, b: int) -> int:
 
 def descent_count(lam: Partition) -> int:
     """C(lam): rows i < l(lam) with lam_i > lam_{i+1}."""
+    lam = check_partition(lam)
     return sum(1 for i in range(len(lam) - 1) if lam[i] > lam[i + 1])
 
 
@@ -71,24 +63,12 @@ def _hook_of(n: int, tail: int) -> Partition:
 
 
 def _direct_mfree(n: int, p: int, lam: Partition) -> tuple[bool, tuple | None]:
-    """Decide by expanding, stopping as soon as some coefficient reaches 2.
-
-    The witness coefficient is recounted exactly for the partition found.
-    """
-    method, work = _route(p, lam)
-    if method != METHOD_ORACLE:
-        buckets: dict[Partition, int] = {}
-        try:
-            for alpha in enumerate_partitions(p, inside=work):
-                _expand_fillings(work, alpha, alpha, kron=True, out=buckets, cap=2)
-        except CapReached as hit:
-            witness_nu = conjugate(hit.nu) if method == METHOD_CONJUGATE else hit.nu
-            return False, (witness_nu, _tableau_sum(work, hit.nu, p))
-        return True, None
-    expansion = oracle_tworow_signed_sum(n, p, lam)
-    for nu, c in expansion.items_desc():
-        if c >= 2:
-            return False, (nu, c)
+    """Decide by expanding, stopping as soon as some coefficient reaches 2;
+    the witness's coefficient is then computed exactly."""
+    try:
+        _expand(n, p, lam, cap=2)
+    except CapReached as hit:
+        return False, (hit.nu, kron_coeff(n, p, lam, hit.nu).value)
     return True, None
 
 
@@ -97,7 +77,12 @@ def is_multiplicity_free(n: int, p: int, lam: Partition) -> MfreeVerdict:
 
     Answered from the classification lists on their proven domains (p=1 any
     n; p=2 for n>=6; p=3 for n>16; p>=4 for n>(2p-2)^2) and by direct
-    computation elsewhere, attaching a witness when the answer is no.
+    computation elsewhere, attaching a witness (nu, coefficient) when the
+    answer is no.  Where the tableau rule walks, the witness is the first nu
+    whose count reaches 2 in the rule's visiting order; where the expansion
+    comes from the signed sum (off the rule's routes, or past the rule's
+    depth limit, see ``kron_expand_tworow``), it is the lex-largest nu with
+    coefficient at least 2.
     """
     lam = check_partition(lam, n)
     if p < 1 or 2 * p > n:

@@ -13,9 +13,11 @@ alpha_1 > alpha_2 and 2 alpha_1 - 1 > lam_1 walks its Kronecker tableaux.
 
 The full expansion runs the rule, whose walk of lam/alpha has n - p cells;
 above RULE_MAX_CELLS of them it takes the signed sum instead, whose walks
-have at most p cells.  A single coefficient comes from the signed sum in
-count mode (``oracle_tworow_signed_coeff``) on every route: for one nu that
-is far less work than the rule, and its walks do not deepen with n.  The
+have at most p cells.  ``_expand`` makes that choice, for the full
+expansion and for the capped one behind ``is_multiplicity_free``.  A single
+coefficient comes from the signed sum in count mode
+(``oracle_tworow_signed_coeff``) on every route: for one nu that is far
+less work than the rule, and its walks do not deepen with n.  The
 method tag still names the theorem that makes the value exact, and
 ``_rule_coeff`` keeps the rule's own single coefficient as the reference it
 is tested against.  ``kron_coeff`` keeps its whole answers, value, tag and
@@ -39,7 +41,7 @@ from .partitions import (
     intersect,
     part,
 )
-from .tableaux import _count_fillings, _expand_fillings
+from .tableaux import CapReached, _count_fillings, _expand_fillings
 
 METHOD_ROWS = "tableau_rule"
 METHOD_CONJUGATE = "tableau_rule_conjugate"
@@ -200,12 +202,36 @@ def kron_expand_tworow(n: int, p: int, lam: Partition) -> KronExpansion:
     would walk more than RULE_MAX_CELLS cells; the tag names the route.
     """
     (lam,) = check_tworow_args(n, p, lam)
+    return _expand(n, p, lam)
+
+
+def _expand(n: int, p: int, lam: Partition, cap: int | None = None) -> KronExpansion:
+    """``kron_expand_tworow`` on a checked lam: the one place that chooses
+    between the tableau rule and the signed sum.
+
+    With a cap, raise CapReached(nu) for the first nu whose coefficient
+    reaches it, nu in lam's orientation.  On the rule's routes, when it
+    walks, that is the first bucket to reach the cap in the rule's visiting
+    order (alpha in descending lex order, fillings in reverse reading
+    order); from the signed sum it is the lex-largest nu with a coefficient
+    of at least cap.
+    """
     method, work = _route(p, lam)
     if method == METHOD_ORACLE or n - p > RULE_MAX_CELLS:
-        return KronExpansion(oracle_tworow_signed_sum(n, p, lam), method)
+        expansion = oracle_tworow_signed_sum(n, p, lam)
+        if cap is not None:
+            for nu, c in expansion.items_desc():
+                if c >= cap:
+                    raise CapReached(nu)
+        return KronExpansion(expansion, method)
     buckets: dict[Partition, int] = {}
-    for alpha in enumerate_partitions(p, inside=work):
-        _expand_fillings(work, alpha, alpha, kron=True, out=buckets)
+    try:
+        for alpha in enumerate_partitions(p, inside=work):
+            _expand_fillings(work, alpha, alpha, kron=True, out=buckets, cap=cap)
+    except CapReached as hit:
+        if method == METHOD_CONJUGATE:
+            raise CapReached(conjugate(hit.nu)) from None
+        raise
     if method == METHOD_CONJUGATE:
         buckets = {conjugate(nu): c for nu, c in buckets.items()}
     return KronExpansion(SchurExpansion(buckets), method)

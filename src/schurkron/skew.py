@@ -14,12 +14,13 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from .expansion import SchurExpansion
-from .partitions import DomainError, Partition, SkewShape, part, skew_shape
+from .partitions import DomainError, Partition, SkewShape, check_partition, part, skew_shape
 from .tableaux import _expand_fillings
 
 
 def reverse_lex_filling(mu: Partition) -> tuple[tuple[int, ...], ...]:
     """Labels 1..|mu| entered right to left, top to bottom; rows left to right."""
+    mu = check_partition(mu)
     grid: list[tuple[int, ...]] = []
     start = 0
     for row_len in mu:
@@ -107,6 +108,7 @@ def min_lex_term(lam: Partition, alpha: Partition) -> Partition:
 def join(top: SkewShape, bottom: SkewShape) -> SkewShape:
     """Glue ``top`` to the upper right of ``bottom``; s of the join is the
     product of the two skew Schur functions."""
+    top, bottom = skew_shape(*top), skew_shape(*bottom)
     width = bottom.outer[0] if bottom.outer else 0
     outer = tuple(width + x for x in top.outer) + bottom.outer
     inner_top = tuple(

@@ -29,10 +29,18 @@ walk; so do shapes whose tail would be the whole shape.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import operator
 from typing import Iterable, NamedTuple, Sequence
 
-from .partitions import Partition, SkewShape, check_partition, contains, part, skew_shape
+from .partitions import (
+    DomainError,
+    Partition,
+    SkewShape,
+    check_partition,
+    contains,
+    part,
+    skew_shape,
+)
 
 
 class Tableau(NamedTuple):
@@ -43,8 +51,9 @@ class Tableau(NamedTuple):
 
 
 def is_ssyt(t: Tableau) -> bool:
-    """Rows weakly increase left to right, columns strictly increase down."""
-    outer, inner = t.shape
+    """Rows weakly increase left to right, columns strictly increase down.
+    DomainError unless the shape is a skew shape."""
+    outer, inner = skew_shape(*t.shape)
     if len(t.rows) != len(outer):
         return False
     grid: dict[tuple[int, int], int] = {}
@@ -85,6 +94,7 @@ def tableau_type(t: Tableau) -> tuple[int, ...]:
 
 def is_alpha_lattice(word: Sequence[int], alpha: Partition) -> bool:
     """True iff every prefix has #i's + alpha_i >= #(i+1)'s + alpha_{i+1}."""
+    alpha = check_partition(alpha)
     width = max([len(alpha) + 1, *word]) + 1 if word else len(alpha) + 2
     profile = [0] * (width + 1)
     profile[0] = len(word) + sum(alpha) + 1
@@ -97,7 +107,6 @@ def is_alpha_lattice(word: Sequence[int], alpha: Partition) -> bool:
     return True
 
 
-@lru_cache(maxsize=1024)
 def _cells(outer: Partition, inner: Partition) -> tuple[tuple[int, int, int], ...]:
     """Reverse-reading-order metadata: (above index, right index, row)."""
     index: dict[tuple[int, int], int] = {}
@@ -270,11 +279,15 @@ def _expand_fillings(
 
 
 def _normalize_counts(counts: Iterable[int]) -> tuple[int, ...]:
-    c = tuple(int(x) for x in counts)
+    c = tuple(counts)
+    try:
+        c = tuple(map(operator.index, c))
+    except TypeError:
+        raise DomainError(f"type counts must be integers, got {c!r}") from None
     while c and c[-1] == 0:
         c = c[:-1]
     if any(x < 0 for x in c):
-        raise ValueError(f"negative multiplicity in type {c!r}")
+        raise DomainError(f"negative multiplicity in type {c!r}")
     return c
 
 

@@ -19,7 +19,7 @@ from .formulas import (
     tworow_target_coeff,
     tworow_tworow_coeff,
 )
-from .kronecker import kron_coeff, kron_expand_tworow, two_row
+from .kronecker import METHOD_ORACLE, _route, kron_coeff, kron_expand_tworow, two_row
 from .oracle import (
     oracle_character_kron,
     oracle_tworow_signed_sum,
@@ -120,7 +120,7 @@ def suite_theorem(nmax: int, pmax: int) -> tuple[int, list[str]]:
         for n in range(1, nmax + 1)
         for p in range(0, min(pmax, n // 2) + 1)
         for lam in enumerate_partitions(n)
-        if part(lam, 1) >= 2 * p - 1 or len(lam) >= 2 * p - 1
+        if _route(p, lam)[0] != METHOD_ORACLE
     ]
     results = _run(_check_theorem_case, tasks)
     return len(tasks), [r for r in results if r]

@@ -173,6 +173,12 @@ class TestOtherCommands:
         rc, out, _ = run_cli("mfree", "7", "2", "4,2,1")
         assert rc == 0 and "multiplicity_free: false" in out
 
+    def test_deep_mfree(self):
+        # decided by expanding; the rule's walk would have 1380 cells
+        rc, out, err = run_cli("mfree", "1400", "20", "700,700")
+        assert rc == 0 and "Traceback" not in err
+        assert "multiplicity_free: false (source: direct_computation) witness 716,682,2 : 2" in out
+
     def test_mfree_sweep(self):
         rc, out, _ = run_cli("mfree", "--sweep", "8", "2", "--json")
         assert rc == 0

@@ -17,6 +17,7 @@ from schurkron import (
     tworow_tworow_coeff,
     tworow_tworow_sequence,
 )
+from schurkron import kronecker
 from schurkron.formulas import _direct_mfree
 
 
@@ -99,6 +100,41 @@ class TestMultiplicityFree:
             assert verdict.source == "direct_computation"
             assert not verdict.multiplicity_free
             assert verdict.witness == witness, (n, p, lam)
+
+    @pytest.mark.parametrize(
+        "n, p, lam, witness",
+        [
+            (1400, 20, (700, 700), ((716, 682, 2), 2)),
+            (1400, 20, (1398, 2), ((1380, 20), 2)),
+            (1200, 19, (600, 599, 1), ((618, 582), 2)),
+            # past the rule's depth limit the witness is the signed sum's
+            # lex-largest coefficient >= 2; the rule's walk met ((465, 434, 1), 3)
+            (900, 16, (450, 449, 1), ((465, 435), 2)),
+        ],
+    )
+    def test_deep_shapes(self, n, p, lam, witness):
+        # n <= (2p-2)^2, so these are decided by expanding; the rule would
+        # walk n - p cells, past the recursion limit
+        assert is_multiplicity_free(n, p, lam) == (False, "direct_computation", witness)
+
+    def test_signed_sum_cap_matches_the_rule(self, monkeypatch):
+        # with RULE_MAX_CELLS at 0 the rule's routes stop in the signed sum
+        rule = {
+            (n, p, lam): _direct_mfree(n, p, lam)
+            for n in range(4, 13)
+            for p in range(2, n // 2 + 1)
+            for lam in enumerate_partitions(n)
+        }
+        monkeypatch.setattr(kronecker, "RULE_MAX_CELLS", 0)
+        moved = 0
+        for (n, p, lam), (free, witness) in rule.items():
+            got, got_witness = _direct_mfree(n, p, lam)
+            assert got == free, (n, p, lam, witness, got_witness)
+            if not got:
+                assert kron_coeff(n, p, lam, got_witness[0]).value == got_witness[1] >= 2
+                moved += got_witness != witness
+        # the patch took effect: some witnesses now come from the signed sum
+        assert moved > 0
 
     def test_small_n_remark(self):
         # the p=2 classification holds vacuously at n=4 and gains two extra

@@ -15,6 +15,7 @@ from schurkron import (
     conjugate,
     contains,
     count_ssyt_alpha_lattice,
+    descent_count,
     dimension,
     enumerate_partitions,
     hook_coeff,
@@ -22,6 +23,7 @@ from schurkron import (
     is_multiplicity_free,
     is_ssyt,
     is_alpha_lattice,
+    join,
     kron_coeff,
     kron_expand_tworow,
     kron_upper_bound,
@@ -37,6 +39,7 @@ from schurkron import (
     p1_expand,
     part,
     positivity_diff,
+    reverse_lex_filling,
     reverse_reading_word,
     skew_expand,
     skew_shape,
@@ -162,6 +165,19 @@ class TestKronExpand:
         for (n, p, lam), want in rule.items():
             assert kron_expand_tworow(n, p, lam) == want, (n, p, lam)
         assert len(rule) == 1538
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_signed_sum_past_the_depth_limit_matches_the_rule_random(self, data):
+        # the grid above, for 13 <= n <= 20 on the rule's two routes
+        n = data.draw(st.integers(13, 20))
+        p = data.draw(st.integers(0, n // 2))
+        shapes = [lam for lam in enumerate_partitions(n) if _route(p, lam)[0] != METHOD_ORACLE]
+        lam = data.draw(st.sampled_from(shapes))
+        want = kron_expand_tworow(n, p, lam)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kronecker, "RULE_MAX_CELLS", 0)
+            assert kron_expand_tworow(n, p, lam) == want
 
     @pytest.mark.parametrize(
         "n, p, lam, method, terms",
@@ -351,6 +367,15 @@ NON_PARTITION_CALLS = {
     "count_ssyt-alpha": lambda bad: count_ssyt_alpha_lattice(SkewShape((6, 5), ()), (6, 5), bad),
     "skew_shape-outer": lambda bad: skew_shape(bad, ()),
     "skew_shape-inner": lambda bad: skew_shape((6, 5), bad),
+    "is_alpha_lattice": lambda bad: is_alpha_lattice([1], bad),
+    "is_ssyt-outer": lambda bad: is_ssyt(Tableau(SkewShape(bad, ()), ((1, 1, 1), (2, 2)))),
+    "is_ssyt-inner": lambda bad: is_ssyt(Tableau(SkewShape((6, 5), bad), ((1, 1, 1), (2, 2, 2)))),
+    "descent_count": lambda bad: descent_count(bad),
+    "reverse_lex_filling": lambda bad: reverse_lex_filling(bad),
+    "join-top-outer": lambda bad: join(SkewShape(bad, ()), SkewShape((6, 5), ())),
+    "join-top-inner": lambda bad: join(SkewShape((6, 5), bad), SkewShape((6, 5), ())),
+    "join-bottom-outer": lambda bad: join(SkewShape((6, 5), ()), SkewShape(bad, ())),
+    "join-bottom-inner": lambda bad: join(SkewShape((6, 5), ()), SkewShape((6, 5), bad)),
 }
 
 # each entry point that takes shapes of one size, with one shape of size 6
@@ -398,6 +423,12 @@ class TestNonPartitions:
     def test_multiplicity_free_on_list_shapes(self, n, p, lam):
         assert is_multiplicity_free(n, p, lam) == is_multiplicity_free(n, p, tuple(lam))
         assert is_multiplicity_free(n, p, lam).multiplicity_free
+
+    @pytest.mark.parametrize("counts", [[1.7, 1.2], ["1", "1"], (2, -1, 1)])
+    def test_count_ssyt_type_counts_are_checked(self, counts):
+        # the floats were truncated to (1, 1) and the strings accepted
+        with pytest.raises(DomainError, match="type counts must be integers|negative"):
+            count_ssyt_alpha_lattice(SkewShape((2,), ()), counts, ())
 
     def test_unchecked_entry_points_now_refuse(self):
         # these returned 0, 1, raised IndexError and returned 1 in turn

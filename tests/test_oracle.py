@@ -339,7 +339,6 @@ class TestCaches:
         oracle_character_coeff((12, 3), (6, 4, 4, 1), (5, 4, 3, 3))
         caches = _package_caches()
         assert set(caches) == {
-            "tableaux._cells",
             "kronecker._kron_coeff",
             "oracle._char_table",
         }

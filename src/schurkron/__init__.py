@@ -2,10 +2,10 @@
 
 The expansion of s_{(n-p,p)} * s_lam is computed by counting Kronecker
 tableaux whenever lam_1 >= 2p-1 or l(lam) >= 2p-1, and a single coefficient
-by the signed sum of skew products in count mode, cross-checked against the
-tableau rule, a signed skew-product oracle and a symmetric group character
-oracle, with closed formulas and multiplicity-freeness classifications on
-top.
+with its upper bound from one table of the paper's per-alpha sums, whose
+walks have at most p cells.  Both are cross-checked against the tableau
+rule, a signed skew-product oracle and a symmetric group character oracle,
+with closed formulas and multiplicity-freeness classifications on top.
 """
 
 from . import kronecker, oracle

@@ -15,13 +15,16 @@ The full expansion runs the rule, whose walk of lam/alpha has n - p cells;
 above RULE_MAX_CELLS of them it takes the signed sum instead, whose walks
 have at most p cells.  ``_expand`` makes that choice, for the full
 expansion and for the capped one behind ``is_multiplicity_free``.  A single
-coefficient comes from the signed sum in count mode
-(``oracle_tworow_signed_coeff``) on every route: for one nu that is far
-less work than the rule, and its walks do not deepen with n.  The
-method tag still names the theorem that makes the value exact, and
-``_rule_coeff`` keeps the rule's own single coefficient as the reference it
-is tested against.  ``kron_coeff`` keeps its whole answers, value, tag and
-bound, in one bounded memo; the engines underneath it are uncached.
+coefficient comes from one table per query on every route: ``_alpha_bound``
+walks lam/mu and nu/mu, at most p cells each, for the mu of the signed
+sum's two levels, and reads both the value and the bound from the L_alpha
+those walks give.  For one nu that is far less work than the rule, and the
+walks do not deepen with n.  The method tag still names the theorem that
+makes the value exact.  ``_rule_coeff`` keeps the rule's own single
+coefficient, and ``oracle_tworow_signed_coeff`` the signed sum in count
+mode, as independent references ``kron_coeff`` is tested against.
+``kron_coeff`` keeps its whole answers, value, tag and bound, in one bounded
+memo; the engines underneath it are uncached.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from typing import NamedTuple
 from .expansion import SchurExpansion
 from .oracle import _coeff_levels, oracle_tworow_signed_coeff, oracle_tworow_signed_sum
 from .partitions import (
+    InvariantError,
     Partition,
     check_partition,
     check_tworow_args,
@@ -111,8 +115,10 @@ def _lr_squares(
     return out
 
 
-def _alpha_bound(lam: Partition, nu: Partition, p: int) -> int:
-    """``_tableau_sum(lam, nu, p)``, with most alpha counted by short walks.
+def _alpha_bound(lam: Partition, nu: Partition, p: int) -> tuple[int, int]:
+    """(g, bound): the coefficient g_{(n-p,p),lam,nu} and
+    ``_tableau_sum(lam, nu, p)``, both read from one table of the L_a below,
+    with most alpha of the bound counted by short walks.
 
     Write L_a = <s_a s_{lam/a}, s_nu>, the number of a-lattice SSYT of shape
     lam/a and type nu - a; K_a for the Kronecker tableaux among them; and a-
@@ -157,27 +163,32 @@ def _alpha_bound(lam: Partition, nu: Partition, p: int) -> int:
     L_a = sum over mu of c^lam_{mu a} c^nu_{mu a}, and mu lies inside
     lam & nu.  One unshifted walk of lam/mu and one of nu/mu, at most p
     cells each, give these numbers for every a at once; the mu of size
-    n-p+1 give the L_{a-}, and are walked only when some a needs them.
-    Kronecker tableaux are a-lattice SSYT, so an a with L_a = 0 adds
-    nothing.  Only the a left, with a_1 > a_2 and 2 a_1 - 1 > lam_1, walk
-    their Kronecker tableaux of lam/a, which have n - p cells.
+    n-p+1 give the L_b for b |- p-1, the L_{a-} among them, and both levels
+    are always walked.  The coefficient is the sum of the table's top level
+    minus the sum of its lower one: summed over a |- p, the L_a give
+    <sum over a of s_a s_{lam/a}, s_nu>, the first half of the signed sum in
+    the ``oracle`` docstring, and the L_b give its second half.  A negative
+    result raises InvariantError.  Kronecker tableaux are a-lattice SSYT, so
+    an a with L_a = 0 adds nothing to the bound.  Only the a left, with
+    a_1 > a_2 and 2 a_1 - 1 > lam_1, walk their Kronecker tableaux of lam/a,
+    which have n - p cells.  On the rows route no a is left and the bound is
+    the coefficient.
     """
     top, below = _coeff_levels(lam, nu, p)
+    upper, lower = _lr_squares(lam, nu, top), _lr_squares(lam, nu, below)
+    value = sum(upper.values()) - sum(lower.values())
+    if value < 0:
+        raise InvariantError(f"signed sum went negative at {nu}: {value}")
     bound = 0
-    minus = []
-    for alpha, count in _lr_squares(lam, nu, top).items():
+    for alpha, count in upper.items():
         a1 = part(alpha, 1)
         if a1 == part(alpha, 2):
             bound += count
         elif lam[0] >= 2 * a1 - 1:
-            bound += count
-            minus.append((a1 - 1, *alpha[1:]) if a1 > 1 else ())
+            bound += count - lower.get((a1 - 1, *alpha[1:]) if a1 > 1 else (), 0)
         else:
             bound += _count_fillings(lam, alpha, nu, alpha, True)
-    if minus:
-        smaller = _lr_squares(lam, nu, below)
-        bound -= sum(smaller.get(beta, 0) for beta in minus)
-    return bound
+    return value, bound
 
 
 def kron_upper_bound(p: int, lam: Partition, nu: Partition) -> int:
@@ -185,7 +196,7 @@ def kron_upper_bound(p: int, lam: Partition, nu: Partition) -> int:
     an upper bound for g_{(n-p,p),lam,nu}, exact when lam_1 >= 2p-1.  Most
     alpha are counted from walks of at most p cells (``_alpha_bound``)."""
     lam, nu = check_tworow_args(sum(check_partition(lam)), p, lam, nu)
-    return _alpha_bound(lam, nu, p)
+    return _alpha_bound(lam, nu, p)[1]
 
 
 RULE_MAX_CELLS = 500
@@ -240,25 +251,23 @@ def _expand(n: int, p: int, lam: Partition, cap: int | None = None) -> KronExpan
 KRON_COEFF_CACHE = 4096
 """Answers kept by ``kron_coeff``, the package's one memo of single
 coefficients.  A repeated query then costs a lookup instead of a new
-signed sum and bound, and the memory stays bounded however many distinct
+table of walks, and the memory stays bounded however many distinct
 queries a process makes."""
 
 
 def kron_coeff(n: int, p: int, lam: Partition, nu: Partition) -> KronResult:
     """Single coefficient of s_nu in s_{(n-p,p)} * s_lam with its method tag
     and the tableau-count upper bound (the rule's sum on lam itself).  The
-    value comes from the signed sum in count mode on every route; the last
-    KRON_COEFF_CACHE distinct answers are kept."""
+    value and the bound come from one ``_alpha_bound`` table on every route;
+    the last KRON_COEFF_CACHE distinct answers are kept."""
     return _kron_coeff(n, p, *check_tworow_args(n, p, lam, nu))
 
 
 @lru_cache(maxsize=KRON_COEFF_CACHE)
 def _kron_coeff(n: int, p: int, lam: Partition, nu: Partition) -> KronResult:
     """``kron_coeff`` on checked arguments, memoised."""
-    value = oracle_tworow_signed_coeff(n, p, lam, nu)
-    method, _ = _route(p, lam)
-    upper = value if method == METHOD_ROWS else _alpha_bound(lam, nu, p)
-    return KronResult(value, method, upper)
+    value, upper = _alpha_bound(lam, nu, p)
+    return KronResult(value, _route(p, lam)[0], upper)
 
 
 def _rule_coeff(n: int, p: int, lam: Partition, nu: Partition) -> KronResult:

@@ -16,10 +16,12 @@ of the mu-lattice fillings of lam/mu, so no walk has more than p cells
 however large n is.  The full expansion runs those walks in expand mode.  A
 single coefficient of s_nu runs them in count mode with target nu; only
 mu inside nu reach it, so mu comes from shrinking lam & nu instead.  The
-lattice lets each cell take any value up to l(mu) + 1, so the coefficient
-walks the wider of lam and its conjugate, with nu conjugated too, which
-leaves g unchanged.  ``kronecker.kron_coeff`` runs this coefficient on
-every route and keeps the answers in its memo; this function is uncached.
+lattice lets each cell take any value up to l(mu) + 1, so both walk the
+wider of lam and its conjugate, the coefficient with nu conjugated too and
+the expansion with its terms conjugated back, which leaves every g
+unchanged.  ``kronecker.kron_coeff`` reads its values from its own table of
+the same levels (``kronecker._alpha_bound``), so this count-mode
+coefficient, which is uncached, is an independent check of it.
 
 The character oracle evaluates the triple character sum
 g = sum over cycle types rho of chi^lam chi^mu chi^nu / z_rho with exact
@@ -83,21 +85,25 @@ def cycle_types(n: int) -> list[CycleType]:
 
 def oracle_tworow_signed_sum(n: int, p: int, lam: Partition) -> SchurExpansion:
     """Full expansion of s_{(n-p,p)} * s_lam by the signed sum: the walks of
-    lam/mu for mu |- n-p inside lam, minus those for mu |- n-p+1."""
+    lam/mu for mu |- n-p inside lam, minus those for mu |- n-p+1, on the
+    wider of lam and its conjugate, with the terms conjugated back."""
     (lam,) = check_tworow_args(n, p, lam)
-    levels = shrink(lam, p)
+    tall = len(lam) > part(lam, 1)
+    work = conjugate(lam) if tall else lam
+    levels = shrink(work, p)
     acc: dict[Partition, int] = {}
     for mu in levels[p]:
-        _expand_fillings(lam, mu, mu, kron=False, out=acc)
+        _expand_fillings(work, mu, mu, kron=False, out=acc)
     neg: dict[Partition, int] = {}
     for mu in levels[p - 1] if p else ():
-        _expand_fillings(lam, mu, mu, kron=False, out=neg)
+        _expand_fillings(work, mu, mu, kron=False, out=neg)
     for nu, c in neg.items():
         acc[nu] = acc.get(nu, 0) - c
-    bad = {nu: c for nu, c in acc.items() if c < 0}
+    terms = {conjugate(nu) if tall else nu: c for nu, c in acc.items()}
+    bad = {nu: c for nu, c in terms.items() if c < 0}
     if bad:
         raise InvariantError(f"signed sum went negative: {bad}")
-    return SchurExpansion(acc)
+    return SchurExpansion(terms)
 
 
 def _coeff_levels(

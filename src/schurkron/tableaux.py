@@ -108,16 +108,18 @@ def is_alpha_lattice(word: Sequence[int], alpha: Partition) -> bool:
 
 
 def _cells(outer: Partition, inner: Partition) -> tuple[tuple[int, int, int], ...]:
-    """Reverse-reading-order metadata: (above index, right index, row)."""
-    index: dict[tuple[int, int], int] = {}
+    """Reverse-reading-order metadata: (above index, right index, row).  Row
+    r's cells, columns end-1 down to start, take consecutive indices from
+    base, so cell (r, c) has index base + end - 1 - c."""
     meta: list[tuple[int, int, int]] = []
-    k = 0
+    above_start = above_end = above_base = 0
     for r, end in enumerate(outer):
         start = inner[r] if r < len(inner) else 0
+        base = len(meta)
         for c in range(end - 1, start - 1, -1):
-            meta.append((index.get((r - 1, c), -1), index.get((r, c + 1), -1), r))
-            index[(r, c)] = k
-            k += 1
+            above = above_base + above_end - 1 - c if r and c >= above_start else -1
+            meta.append((above, len(meta) - 1 if c < end - 1 else -1, r))
+        above_start, above_end, above_base = start, end, base
     return tuple(meta)
 
 

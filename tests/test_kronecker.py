@@ -46,7 +46,7 @@ from schurkron import (
     skew_times_alpha,
     tworow_target_coeff,
 )
-from schurkron import kronecker
+from schurkron import InvariantError, clear_caches, kronecker, oracle
 from schurkron.kronecker import _alpha_bound, _route, _rule_coeff, _tableau_sum, two_row
 from schurkron.tableaux import _count_fillings, _expand_fillings
 
@@ -196,6 +196,15 @@ class TestKronExpand:
         total = sum(c * dimension(nu) for nu, c in result.expansion.items_desc())
         assert total == dimension((n - p, p)) * dimension(lam)
 
+    def test_deep_tall_expansion_is_the_wide_one_conjugated(self):
+        # the signed sum walks (700, 700) for the 700-row lam too
+        tall = kron_expand_tworow(1400, 20, (2,) * 700)
+        wide = kron_expand_tworow(1400, 20, (700, 700))
+        assert tall.method == METHOD_CONJUGATE
+        assert tall.expansion.as_dict() == {
+            conjugate(nu): c for nu, c in wide.expansion.items_desc()
+        }
+
 
 class TestKronCoeff:
     def test_worked_example(self):
@@ -302,7 +311,7 @@ class TestAlphaBound:
             for p in range(0, n // 2 + 1):
                 for lam in shapes:
                     for nu in shapes:
-                        assert _alpha_bound(lam, nu, p) == _tableau_sum(lam, nu, p), (p, lam, nu)
+                        assert _alpha_bound(lam, nu, p)[1] == _tableau_sum(lam, nu, p), (p, lam, nu)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -314,7 +323,7 @@ class TestAlphaBound:
         lam = data.draw(st.sampled_from(shapes))
         near = [nu for nu in shapes if sum(intersect(lam, nu)) >= n - p]
         nu = data.draw(st.sampled_from(near))
-        assert _alpha_bound(lam, nu, p) == _tableau_sum(lam, nu, p)
+        assert _alpha_bound(lam, nu, p)[1] == _tableau_sum(lam, nu, p)
         assert kron_upper_bound(p, lam, nu) == _tableau_sum(lam, nu, p)
 
     def test_deep_conjugate_query(self):
@@ -323,6 +332,86 @@ class TestAlphaBound:
         lam, nu = (1,) * 1200, (2, 2) + (1,) * 1196
         assert kron_coeff(1200, 2, lam, nu) == KronResult(1, METHOD_CONJUGATE, 1)
         assert kron_upper_bound(2, lam, nu) == 1
+
+
+class TestOneTable:
+    """``kron_coeff`` reads its value and its bound from one ``_alpha_bound``
+    table; the signed sum in count mode, ``oracle_tworow_signed_coeff``, is
+    a separate engine and the reference for the value."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self):
+        # a memoised answer would hide what the engines underneath do
+        clear_caches()
+        yield
+        clear_caches()
+
+    def test_value_matches_signed_coeff_small(self):
+        # every route and every p
+        for n in range(0, 11):
+            shapes = list(enumerate_partitions(n))
+            for p in range(0, n // 2 + 1):
+                for lam in shapes:
+                    for nu in shapes:
+                        want = oracle_tworow_signed_coeff(n, p, lam, nu)
+                        assert kron_coeff(n, p, lam, nu).value == want, (p, lam, nu)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_value_matches_signed_coeff_random(self, data):
+        # nu shares at least n - p boxes with lam, else both sides are 0
+        n = data.draw(st.integers(11, 20))
+        p = data.draw(st.integers(0, n // 2))
+        shapes = list(enumerate_partitions(n))
+        lam = data.draw(st.sampled_from(shapes))
+        near = [nu for nu in shapes if sum(intersect(lam, nu)) >= n - p]
+        nu = data.draw(st.sampled_from(near))
+        assert kron_coeff(n, p, lam, nu).value == oracle_tworow_signed_coeff(n, p, lam, nu)
+
+    GRID = [
+        (n, p, lam, nu)
+        for n in range(0, 8)
+        for p in range(0, n // 2 + 1)
+        for lam in enumerate_partitions(n)
+        for nu in enumerate_partitions(n)
+    ]
+
+    def test_answers_without_the_signed_coeff(self, monkeypatch):
+        want = [_rule_coeff(*query) for query in self.GRID]
+
+        def refuse(*args):
+            raise AssertionError("kron_coeff called the signed sum in count mode")
+
+        monkeypatch.setattr(kronecker, "oracle_tworow_signed_coeff", refuse)
+        monkeypatch.setattr(oracle, "oracle_tworow_signed_coeff", refuse)
+        assert [kron_coeff(*query) for query in self.GRID] == want
+
+    def test_value_and_bound_from_one_table(self, monkeypatch):
+        tables = []
+
+        def one_table(lam, nu, p):
+            tables.append(_alpha_bound(lam, nu, p))
+            return tables[-1]
+
+        monkeypatch.setattr(kronecker, "_alpha_bound", one_table)
+        for n, p, lam, nu in self.GRID:
+            tables.clear()
+            result = kron_coeff(n, p, lam, nu)
+            assert tables == [(result.value, result.upper_bound)], (n, p, lam, nu)
+
+    def test_negative_value_raises(self, monkeypatch):
+        # inflate the lower level, the mu with n - p + 1 boxes
+        squares = kronecker._lr_squares
+
+        def inflated(lam, nu, mus):
+            table = squares(lam, nu, mus)
+            if any(sum(mu) == sum(lam) - 1 for mu in mus):
+                table = {beta: c + 10 for beta, c in table.items()}
+            return table
+
+        monkeypatch.setattr(kronecker, "_lr_squares", inflated)
+        with pytest.raises(InvariantError, match=r"went negative at \(3, 2\)"):
+            kron_coeff(5, 2, (3, 2), (3, 2))
 
 
 # each entry point with every shape slot filled by a bad shape of size 5
@@ -487,10 +576,10 @@ class TestLemma31:
 
 
 class TestDifferential:
-    """The tableau rule (on lam or its conjugate), the signed sum in count
-    mode (the value of ``kron_coeff``) and the character oracle are three
-    separate computations of one number; the signed-sum expansion is a
-    fourth."""
+    """The tableau rule (on lam or its conjugate), the table of
+    ``_alpha_bound`` (the value of ``kron_coeff``) and the character oracle
+    are three separate computations of one number; the signed-sum expansion
+    is a fourth."""
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -545,9 +634,9 @@ def _box_moves(rng, lam, moves):
 
 
 class TestLRComposition:
-    """``kron_coeff`` takes its value from the signed sum in count mode on
-    every route; the tableau rule, kept as ``_rule_coeff``, is the
-    reference."""
+    """``kron_coeff`` takes its value from the table of the signed sum's
+    levels (``_alpha_bound``) on every route; the tableau rule, kept as
+    ``_rule_coeff``, is the reference."""
 
     def test_matches_rule_on_stream_queries(self):
         # queries shaped like a coefficient stream: n 22..36, p 2..6, lam

@@ -2,14 +2,17 @@
 recursion to one place: the fill engine's ``rec`` inside ``tableaux._fill``.
 Every other function that calls itself by name is reported here, and the
 signed sums, which answer the deep queries, must keep each walk within p
-cells, whatever n is; so must the upper bound, but for the Kronecker walks
-of the alpha that its lemma does not cover."""
+cells, whatever n is; so must the upper bound and ``kron_coeff``, which
+reads its value from the bound's walks, but for the Kronecker walks of the
+alpha that the bound's lemma does not cover."""
 
 import ast
 from pathlib import Path
 
 from schurkron import (
+    clear_caches,
     enumerate_partitions,
+    kron_coeff,
     kron_upper_bound,
     oracle_tworow_signed_coeff,
     oracle_tworow_signed_sum,
@@ -70,12 +73,14 @@ def test_upper_bound_walks_at_most_p_cells_but_for_hard_alpha(monkeypatch):
         return fill(outer, inner, alpha, kron, *args, **kwargs)
 
     monkeypatch.setattr(tableaux, "_fill", sized_fill)
+    clear_caches()  # a memoised kron_coeff would walk nothing
     for n in range(1, 11):
         for p in range(0, n // 2 + 1):
             for lam in enumerate_partitions(n):
                 for nu in enumerate_partitions(n):
                     long_walks.clear()
                     kron_upper_bound(p, lam, nu)
+                    kron_coeff(n, p, lam, nu)
                     # a hard alpha: a_1 > a_2 and 2 a_1 - 1 > lam_1
                     for inner, alpha, kron in long_walks:
                         assert kron and inner == alpha, (p, lam, nu, alpha)

@@ -208,8 +208,8 @@ class TestSignedSum:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_single_coeff_matches_full_random(self, data):
-        # the coefficient counts on the wider of lam and its conjugate, the
-        # full sum expands on lam itself
+        # nu from every shape or from the expansion's own terms; both sums
+        # walk the wider of lam and its conjugate
         n = data.draw(st.integers(1, 14))
         p = data.draw(st.integers(0, n // 2))
         shapes = list(enumerate_partitions(n))
@@ -217,6 +217,15 @@ class TestSignedSum:
         expansion = oracle_tworow_signed_sum(n, p, lam)
         nu = data.draw(st.sampled_from(shapes) | st.sampled_from(sorted(expansion)))
         assert oracle_tworow_signed_coeff(n, p, lam, nu) == expansion[nu]
+
+    def test_conjugate_lam_conjugates_the_sum(self):
+        # s_{(n-p,p)} * s_lam' is s_{(n-p,p)} * s_lam with every nu conjugated
+        for n in range(0, 11):
+            for p in range(0, n // 2 + 1):
+                for lam in enumerate_partitions(n):
+                    flipped = oracle_tworow_signed_sum(n, p, conjugate(lam))
+                    want = oracle_tworow_signed_sum(n, p, lam).items_desc()
+                    assert flipped.as_dict() == {conjugate(nu): c for nu, c in want}, (p, lam)
 
     def test_deep_single_coefficients(self):
         # shapes far deeper than the recursion limit; each walk has <= p cells
@@ -272,6 +281,9 @@ class TestInvariantErrors:
         monkeypatch.setattr(oracle, "_expand_fillings", fake)
         with pytest.raises(InvariantError, match="went negative"):
             oracle_tworow_signed_sum(5, 2, (3, 2))
+        # a tall lam is walked on its conjugate; the message names nu as answered
+        with pytest.raises(InvariantError, match=r"went negative: \{\(2, 2, 1\)"):
+            oracle_tworow_signed_sum(5, 2, (2, 2, 1))
 
     def test_signed_coeff_going_negative(self, monkeypatch):
         # count only the walks of the subtracted level, lam/mu of p-1 = 1 cell

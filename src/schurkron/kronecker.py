@@ -18,11 +18,13 @@ expansion and for the capped one behind ``is_multiplicity_free``.  A single
 coefficient comes from one table per query on every route: ``_alpha_bound``
 walks lam/mu and nu/mu, at most p cells each, for the mu of the signed
 sum's two levels, and reads both the value and the bound from the L_alpha
-those walks give.  For one nu that is far less work than the rule, and the
-walks do not deepen with n.  The method tag still names the theorem that
-makes the value exact.  ``_rule_coeff`` keeps the rule's own single
-coefficient, and ``oracle_tworow_signed_coeff`` the signed sum in count
-mode, as independent references ``kron_coeff`` is tested against.
+those walks give.  A walk depends only on the shape without its empty rows
+and columns, so each distinct reduced shape is walked once per query, over
+both levels and both sides.  For one nu that is far less work than the
+rule, and the walks do not deepen with n.  The method tag still names the
+theorem that makes the value exact.  ``_rule_coeff`` keeps the rule's own
+single coefficient, and ``oracle_tworow_signed_coeff`` the signed sum in
+count mode, as independent references ``kron_coeff`` is tested against.
 ``kron_coeff`` keeps its whole answers, value, tag and bound, in one bounded
 memo; the engines underneath it are uncached.
 """
@@ -45,7 +47,7 @@ from .partitions import (
     intersect,
     part,
 )
-from .tableaux import CapReached, _count_fillings, _expand_fillings
+from .tableaux import CapReached, _count_fillings, _expand_fillings, _reduced
 
 METHOD_ROWS = "tableau_rule"
 METHOD_CONJUGATE = "tableau_rule_conjugate"
@@ -102,14 +104,24 @@ def _tableau_sum(lam: Partition, nu: Partition, p: int) -> int:
 
 
 def _lr_squares(
-    lam: Partition, nu: Partition, mus: set[Partition]
+    lam: Partition,
+    nu: Partition,
+    mus: set[Partition],
+    walks: dict[tuple[Partition, Partition], dict[Partition, int]],
 ) -> dict[Partition, int]:
     """{alpha: sum over mu in mus of c^lam_{mu alpha} c^nu_{mu alpha}}, from
-    one unshifted walk of lam/mu and one of nu/mu per mu."""
+    unshifted walks of lam/mu and nu/mu.  A walk depends only on the shape
+    without its empty rows and columns (``tableaux._reduced``); ``walks``
+    maps each such reduced shape to its walk, so a shape met again, on
+    either side or for another mu, is not walked again."""
     out: dict[Partition, int] = {}
     for mu in mus:
-        right = _expand_fillings(nu, mu, (), False)
-        for alpha, c in _expand_fillings(lam, mu, (), False).items():
+        shapes = _reduced(lam, mu), _reduced(nu, mu)
+        for shape in shapes:
+            if shape not in walks:
+                walks[shape] = _expand_fillings(*shape, (), False)
+        left, right = walks[shapes[0]], walks[shapes[1]]
+        for alpha, c in left.items():
             if alpha in right:
                 out[alpha] = out.get(alpha, 0) + c * right[alpha]
     return out
@@ -161,11 +173,15 @@ def _alpha_bound(lam: Partition, nu: Partition, p: int) -> tuple[int, int]:
 
     The L come from s_{lam/a} = sum over mu |- n-p of c^lam_{mu a} s_mu:
     L_a = sum over mu of c^lam_{mu a} c^nu_{mu a}, and mu lies inside
-    lam & nu.  One unshifted walk of lam/mu and one of nu/mu, at most p
-    cells each, give these numbers for every a at once; the mu of size
-    n-p+1 give the L_b for b |- p-1, the L_{a-} among them, and both levels
-    are always walked.  The coefficient is the sum of the table's top level
-    minus the sum of its lower one: summed over a |- p, the L_a give
+    lam & nu.  Unshifted walks of lam/mu and nu/mu, at most p cells each,
+    give these numbers for every a at once; the mu of size n-p+1 give the
+    L_b for b |- p-1, the L_{a-} among them, and both levels are always
+    walked.  A skew Schur function depends only on the cells of its shape,
+    so the walks are keyed by the reduced shape (``tableaux._reduced``), and
+    each distinct reduced shape is walked once per query, over both levels
+    and both sides; with nu == lam that is at most one walk per mu.  The
+    coefficient is the sum of the table's top level minus the sum of its
+    lower one: summed over a |- p, the L_a give
     <sum over a of s_a s_{lam/a}, s_nu>, the first half of the signed sum in
     the ``oracle`` docstring, and the L_b give its second half.  A negative
     result raises InvariantError.  Kronecker tableaux are a-lattice SSYT, so
@@ -175,7 +191,8 @@ def _alpha_bound(lam: Partition, nu: Partition, p: int) -> tuple[int, int]:
     the coefficient.
     """
     top, below = _coeff_levels(lam, nu, p)
-    upper, lower = _lr_squares(lam, nu, top), _lr_squares(lam, nu, below)
+    walks: dict = {}  # this query's walks, shared by both levels
+    upper, lower = _lr_squares(lam, nu, top, walks), _lr_squares(lam, nu, below, walks)
     value = sum(upper.values()) - sum(lower.values())
     if value < 0:
         raise InvariantError(f"signed sum went negative at {nu}: {value}")

@@ -123,6 +123,45 @@ def _cells(outer: Partition, inner: Partition) -> tuple[tuple[int, int, int], ..
     return tuple(meta)
 
 
+def _reduced(outer: Partition, inner: Partition) -> tuple[Partition, Partition]:
+    """The skew shape outer/inner without its empty rows and columns, as
+    (outer, inner) partitions; it has the same fillings, so the same skew
+    Schur function.
+
+    Read from the bottom row up, both ends of the rows weakly increase.  So
+    the columns left of the lowest non-empty row are empty, and so are those
+    between a non-empty row's start and the end of the non-empty row below
+    it, when that start lies further right; no other column left of the top
+    non-empty row's end is empty.  The pass deletes those columns by
+    shifting each row left by the empty columns found so far, and skips the
+    empty rows.  Each cell keeps its row neighbour, since a row keeps its
+    cells in order.  It keeps its column neighbour, for two non-empty rows
+    that become adjacent: if they share a column, no empty column lies
+    between the lower one's end and the upper one's start, so both move by
+    the same shift; if not, the upper one starts at or right of the lower
+    one's end (rows with empty rows between them never share a column, as an
+    empty row's start is its end), and the shift deletes only the empty
+    columns between the two, so that stays true.  The rows keep their order,
+    so every cell keeps its place in the reading order, and the fillings and
+    their lattice words are the same.  The shifted starts and ends still
+    weakly increase upwards, so the result is a skew shape; its lowest row
+    starts in column 0, so the new inner shape ends in zeros, which are
+    dropped."""
+    ends: list[int] = []
+    starts: list[int] = []
+    shift = below_end = 0
+    for r in range(len(outer) - 1, -1, -1):
+        start, end = (inner[r] if r < len(inner) else 0), outer[r]
+        if start < end:
+            if start > below_end:
+                shift += start - below_end
+            below_end = end
+            ends.append(end - shift)
+            if start > shift:
+                starts.append(start - shift)
+    return tuple(reversed(ends)), tuple(reversed(starts))
+
+
 def _kron_setup(outer, inner, alpha, meta, ncells):
     """Checkpoint data for the Kronecker tableau conditions.
 

@@ -46,9 +46,9 @@ from schurkron import (
     skew_times_alpha,
     tworow_target_coeff,
 )
-from schurkron import InvariantError, clear_caches, kronecker, oracle
+from schurkron import InvariantError, clear_caches, kronecker, oracle, tableaux
 from schurkron.kronecker import _alpha_bound, _route, _rule_coeff, _tableau_sum, two_row
-from schurkron.tableaux import _count_fillings, _expand_fillings
+from schurkron.tableaux import _count_fillings, _expand_fillings, _reduced
 
 
 class TestKroneckerTableauCount:
@@ -403,8 +403,8 @@ class TestOneTable:
         # inflate the lower level, the mu with n - p + 1 boxes
         squares = kronecker._lr_squares
 
-        def inflated(lam, nu, mus):
-            table = squares(lam, nu, mus)
+        def inflated(lam, nu, mus, walks):
+            table = squares(lam, nu, mus, walks)
             if any(sum(mu) == sum(lam) - 1 for mu in mus):
                 table = {beta: c + 10 for beta, c in table.items()}
             return table
@@ -412,6 +412,28 @@ class TestOneTable:
         monkeypatch.setattr(kronecker, "_lr_squares", inflated)
         with pytest.raises(InvariantError, match=r"went negative at \(3, 2\)"):
             kron_coeff(5, 2, (3, 2), (3, 2))
+
+    def test_each_reduced_shape_walked_once_per_query(self, monkeypatch):
+        walked = []
+        fill = tableaux._fill
+
+        def logged_fill(outer, inner, alpha, kron, *args, **kwargs):
+            if alpha == () and not kron:
+                walked.append(_reduced(outer, inner))
+            return fill(outer, inner, alpha, kron, *args, **kwargs)
+
+        monkeypatch.setattr(tableaux, "_fill", logged_fill)
+        for n in range(0, 10):
+            shapes = list(enumerate_partitions(n))
+            for p in range(0, n // 2 + 1):
+                for lam in shapes:
+                    for nu in shapes:
+                        walked.clear()
+                        kron_coeff(n, p, lam, nu)
+                        assert len(walked) == len(set(walked)), (p, lam, nu)
+                        if nu == lam:
+                            mus = sum(map(len, oracle._coeff_levels(lam, lam, p)))
+                            assert len(walked) <= mus, (p, lam)
 
 
 # each entry point with every shape slot filled by a bad shape of size 5

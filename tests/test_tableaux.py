@@ -14,11 +14,12 @@ from schurkron import (
     is_alpha_lattice,
     is_ssyt,
     lr_coefficient,
+    part,
     reverse_reading_word,
     skew_shape,
     tableau_type,
 )
-from schurkron.tableaux import _count_fillings, _expand_fillings
+from schurkron.tableaux import _count_fillings, _expand_fillings, _reduced
 
 FIG1 = Tableau(
     skew_shape((9, 5, 2, 1, 1), (3, 1)),
@@ -285,3 +286,38 @@ class TestExpandFillings:
         alpha = data.draw(st.sampled_from(alphas))
         assume(_merges(lam, alpha) and _skew_rows(lam, alpha)[-1] < 3)
         _assert_expand_matches_count(lam, alpha, data.draw(st.booleans()))
+
+
+class TestReduced:
+    """``_reduced`` drops a skew shape's empty rows and columns; the walk on
+    the reduced shape must give exactly the walk on the original."""
+
+    def test_same_walk_on_every_small_pair(self):
+        pairs = 0
+        for n in range(13):
+            for lam in enumerate_partitions(n):
+                for k in range(n + 1):
+                    for mu in enumerate_partitions(k, inside=lam):
+                        outer, inner = _reduced(lam, mu)
+                        starts = [part(inner, r + 1) for r in range(len(outer))]
+                        assert skew_shape(outer, inner).size == n - k
+                        assert all(s < e for s, e in zip(starts, outer)), (lam, mu)
+                        cols = {c for s, e in zip(starts, outer) for c in range(s, e)}
+                        assert cols == set(range(part(outer, 1))), (lam, mu)
+                        want = _expand_fillings(lam, mu, (), False)
+                        assert _expand_fillings(outer, inner, (), False) == want, (lam, mu)
+                        pairs += 1
+        assert pairs == 8855
+
+    def test_named_cases(self):
+        # no cells left
+        assert _reduced((3, 2), (3, 2)) == ((), ())
+        # an empty middle row: (4, 2, 2)/(2, 2, 1) keeps rows 1 and 3
+        assert _reduced((4, 2, 2), (2, 2, 1)) == ((3, 1), (1,))
+        # a gap between columns: column 2 of (5, 2)/(3,) is empty
+        assert _reduced((5, 2), (3,)) == ((4, 2), (2,))
+        # empty columns on the left: the inner shape ends in zeros
+        assert _reduced((3, 2, 2), (1, 1, 1)) == ((2, 1, 1), ())
+        assert _reduced((3, 1), (1, 0)) == ((3, 1), (1,))
+        # already reduced
+        assert _reduced((4, 3, 1), (2, 1)) == ((4, 3, 1), (2, 1))

@@ -1,0 +1,49 @@
+"""Print one sha256 over every ``kron_coeff`` answer with n <= NMAX.
+
+    python tools/coeff_digest.py [NMAX=12]
+
+Every (n, p, lam, nu) with 0 <= n <= NMAX, 0 <= p <= n/2 and lam, nu |- n
+is asked in a fixed order, and each query with its answer
+(value, method, upper_bound) is hashed as one line.  The last line printed
+is "<queries> <sha256>" (79457 queries at NMAX = 12).  Run it on two source
+trees: equal digests mean every answer is the same.  The package is loaded
+from the ``src`` directory beside this script.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from schurkron import enumerate_partitions, kron_coeff  # noqa: E402
+
+
+def digest(nmax: int) -> tuple[int, str]:
+    """(number of queries, sha256 hex digest) over every n <= nmax."""
+    sha = hashlib.sha256()
+    queries = 0
+    for n in range(nmax + 1):
+        shapes = list(enumerate_partitions(n))
+        for p in range(n // 2 + 1):
+            for lam in shapes:
+                for nu in shapes:
+                    result = tuple(kron_coeff(n, p, lam, nu))
+                    sha.update(f"{n} {p} {lam} {nu} {result}\n".encode())
+                    queries += 1
+    return queries, sha.hexdigest()
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) > 1 or (argv and not argv[0].isdigit()):
+        print("usage: python tools/coeff_digest.py [NMAX]", file=sys.stderr)
+        return 2
+    queries, hexdigest = digest(int(argv[0]) if argv else 12)
+    print(f"{queries} {hexdigest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -12,6 +12,18 @@ one limit: v may be placed only while profile[v] < nu_v.  The cells number
 |nu| - |alpha|, so every leaf then has profile == nu and the count is the
 sum of the buckets.
 
+The walk is one loop that backtracks in place, so its depth is not bounded
+by Python's recursion limit and it keeps no frame per cell.  Cell k's
+cursor is vals[k], the value it holds.  On entering cell k the loop saves
+the largest value the cell may take (the value of its right neighbour, or
+vmax + 1, vmax being the largest value placed so far) and vmax itself; it
+then places the smallest allowed value from the cell's floor up (one more
+than the value in the cell above it) and moves to cell k + 1.  When a cell
+has no value left, the loop steps back to cell k - 1, takes that cell's
+value off the profile, restores the saved vmax and tries the cell's next
+value.  So the fillings are visited in the same order as by a recursive
+walk.
+
 The walk merges equal fill states before the tail: the shortest run of
 whole last skew rows that holds at least 3 cells (the last row alone when it
 is that long).  How the tail can be filled depends only on the values of the
@@ -224,7 +236,6 @@ def _fill(
     check_at, slot2, gap, row1 = (
         _kron_setup(outer, inner, alpha, meta, ncells) if kron else (-1, -1, 0, 0)
     )
-    vmax = la
     stop = ncells
     if cap is None:
         # the tail's first cell: back up to a row start with >= 3 cells after it
@@ -235,55 +246,69 @@ def _fill(
             stop = first
     aboves = [meta[k][0] for k in range(stop, ncells) if 0 <= meta[k][0] < stop]
     states: dict[tuple, int] = {}
-    weight = 1
+    his = [0] * ncells  # the largest value cell k may take
+    vmaxs = [0] * ncells  # vmax on entry to cell k
 
-    def rec(k: int) -> None:
-        nonlocal vmax
-        if k == check_at and not (
-            (slot2 >= 0 and vals[slot2] == 1) or vals[:row1].count(2) == gap
-        ):
-            return
-        if k == stop:
-            if k < ncells:
-                key = (tuple([vals[a] for a in aboves]), tuple(profile[1 : vmax + 1]))
-                states[key] = states.get(key, 0) + 1
-                return
-            nu = tuple(profile[1 : vmax + 1])
-            c = buckets.get(nu, 0) + weight
-            buckets[nu] = c
-            if cap is not None and c >= cap:
-                raise CapReached(nu)
-            return
-        above, right, _ = meta[k]
-        lo = vals[above] + 1 if above >= 0 else 1
-        hi = vals[right] if right >= 0 else vmax + 1
-        for v in range(lo, hi + 1):
-            pv = profile[v]
-            if profile[v - 1] <= pv or pv >= limit[v]:
-                continue
+    def walk(k: int, end: int, vmax: int, weight: int) -> None:
+        """Visit the fillings of cells k..end-1 that extend the current vals
+        and profile, backing up in place; each one reached at a leaf adds
+        weight to its bucket (or, before the tail, one path to its state)."""
+        start = k
+        while True:
+            # enter cell k: a dead end, a leaf, or a range of values to try
+            if k == check_at and not (
+                (slot2 >= 0 and vals[slot2] == 1) or vals[:row1].count(2) == gap
+            ):
+                v = hi = 0
+            elif k == end:
+                v = hi = 0
+                if k < ncells:
+                    key = (tuple([vals[a] for a in aboves]), tuple(profile[1 : vmax + 1]))
+                    states[key] = states.get(key, 0) + 1
+                else:
+                    nu = tuple(profile[1 : vmax + 1])
+                    c = buckets.get(nu, 0) + weight
+                    buckets[nu] = c
+                    if cap is not None and c >= cap:
+                        raise CapReached(nu)
+            else:
+                above, right, _ = meta[k]
+                v = vals[above] if above >= 0 else 0
+                hi = his[k] = vals[right] if right >= 0 else vmax + 1
+                vmaxs[k] = vmax
+            # place the next value above v at cell k; when none is left, take
+            # the value of cell k - 1 off the profile and try its next one
+            while True:
+                while v < hi:
+                    v += 1
+                    pv = profile[v]
+                    if profile[v - 1] > pv and pv < limit[v]:
+                        break
+                else:
+                    if k == start:
+                        return
+                    k -= 1
+                    v = vals[k]
+                    profile[v] -= 1
+                    vmax = vmaxs[k]
+                    hi = his[k]
+                    continue
+                break
             profile[v] = pv + 1
             vals[k] = v
             if v > vmax:  # the lattice test allows v = vmax + 1 at most
                 vmax = v
-                rec(k + 1)
-                vmax = v - 1
-            else:
-                rec(k + 1)
-            profile[v] = pv
+            k += 1
 
-    rec(0)
+    walk(0, stop, la, 1)
     if stop < ncells:
-        stop, check_at = ncells, -1
+        check_at = -1
         width = len(profile) - 1
         for (above_vals, prof), weight in states.items():
             for a, v in zip(aboves, above_vals):
                 vals[a] = v
-            vmax = len(prof)
-            profile[1:] = prof + (0,) * (width - vmax)
-            rec(first)
-        # rec refers to itself, so this frame's cells live until a full
-        # collection; drop the table now rather than with them
-        states.clear()
+            profile[1:] = prof + (0,) * (width - len(prof))
+            walk(first, ncells, len(prof), weight)
     return buckets
 
 

@@ -105,6 +105,21 @@ class TestKronCommand:
         assert rc == 0 and "Traceback" not in err
         assert "method=oracle_signed_sum value=1 upper_bound=1" in out
 
+    @pytest.mark.parametrize(
+        "args, line",
+        [
+            # the bound's Kronecker walk of lam/(2,1) has 1197 cells
+            (["1200", "3", "2^600", "--nu", "3,2,2^597,1"], "value=1 upper_bound=2"),
+            # the value's walks have up to p = 1200 cells
+            (["2400", "1200", "1200,1200", "--nu", "2400"], "value=1 upper_bound=1"),
+        ],
+    )
+    def test_deep_single_coefficient(self, args, line):
+        rc, out, err = run_cli("kron", *args)
+        assert rc == 0 and "Traceback" not in err
+        assert line in out.splitlines()[0]
+        assert out.splitlines()[1].endswith(" : 1")
+
     def test_parse_error_exit_2(self):
         rc, _, _ = run_cli("kron", "6", "1", "bogus")
         assert rc == 2
@@ -157,6 +172,11 @@ class TestOtherCommands:
         rc, out, _ = run_cli("lr", "5,4,3", "4,3,2", "2,1")
         assert rc == 0
         assert out.splitlines()[-1] == "2"
+
+    def test_lr_walk_of_5000_cells(self):
+        rc, out, err = run_cli("lr", "6000", "1000", "5000")
+        assert rc == 0 and "Traceback" not in err
+        assert out.splitlines()[-1] == "1"
 
     def test_positivity(self):
         rc, out, _ = run_cli("positivity", "6,4,2,2", "3,1")

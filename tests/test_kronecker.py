@@ -333,6 +333,21 @@ class TestAlphaBound:
         assert kron_coeff(1200, 2, lam, nu) == KronResult(1, METHOD_CONJUGATE, 1)
         assert kron_upper_bound(2, lam, nu) == 1
 
+    def test_deep_hard_alpha_walk(self):
+        # alpha = (2, 1) is hard for lam_1 = 2, so the bound walks its
+        # Kronecker tableaux on the 1197 cells of lam/alpha
+        lam, nu = (2,) * 600, (3, 2) + (2,) * 597 + (1,)
+        result = kron_coeff(1200, 3, lam, nu)
+        assert (result.value, result.method) == (1, METHOD_CONJUGATE)
+        # the bound against the rule's own counts, each a walk of lam/alpha
+        alphas = [alpha for alpha in enumerate_partitions(3) if contains(alpha, lam)]
+        counts = sum(kronecker_tableau_count(lam, alpha, nu) for alpha in alphas)
+        assert result.upper_bound == counts == 2
+
+    def test_deep_p(self):
+        # the L-table's walks have up to p = 1200 cells
+        assert kron_coeff(2400, 1200, (1200, 1200), (2400,)) == KronResult(1, METHOD_ORACLE, 1)
+
 
 class TestOneTable:
     """``kron_coeff`` reads its value and its bound from one ``_alpha_bound``

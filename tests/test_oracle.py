@@ -237,6 +237,10 @@ class TestSignedSum:
         assert oracle_tworow_signed_coeff(1200, 2, column, (2,) + (1,) * 1198) == 0
         assert oracle_tworow_signed_coeff(1200, 2, column, conjugate(column)) == 0
 
+    def test_walks_of_p_cells_past_the_recursion_limit(self):
+        # s_{(n-p,p)} * s_{(p,p)} holds s_(n) once: (p,p) is (n-p,p) at n = 2p
+        assert oracle_tworow_signed_coeff(2400, 1200, (1200, 1200), (2400,)) == 1
+
     def test_deep_full_expansion(self):
         # s_{(n-2,2)} * s_{1^n} = s_{(2,2,1^{n-4})}, with lam/mu of 1 or 2 cells
         column = (1,) * 1200

@@ -201,6 +201,10 @@ class TestLrCoefficient:
         assert lr_coefficient((3, 1), (2,), (1,)) == 0
         assert lr_coefficient((2, 2), (3,), (1,)) == 0
 
+    def test_walk_of_5000_cells(self):
+        # one filling of 5000 cells: the walk keeps no frame per cell
+        assert lr_coefficient((6000,), (1000,), (5000,)) == 1
+
     def test_symmetry_and_conjugation(self):
         for n in range(1, 8):
             for lam in enumerate_partitions(n):

@@ -1,13 +1,18 @@
-"""Print one sha256 over every ``kron_coeff`` answer with n <= NMAX.
+"""Print one sha256 over every ``kron_coeff`` answer with n <= NMAX, and one
+over every full expansion.
 
     python tools/coeff_digest.py [NMAX=12]
 
 Every (n, p, lam, nu) with 0 <= n <= NMAX, 0 <= p <= n/2 and lam, nu |- n
 is asked in a fixed order, and each query with its answer
-(value, method, upper_bound) is hashed as one line.  The last line printed
-is "<queries> <sha256>" (79457 queries at NMAX = 12).  Run it on two source
-trees: equal digests mean every answer is the same.  The package is loaded
-from the ``src`` directory beside this script.
+(value, method, upper_bound) is hashed as one line.  The first line printed
+is "<queries> <sha256>" (79457 queries at NMAX = 12).  Then every
+(n, p, lam) is expanded with ``kron_expand_tworow``, and each expansion with
+its method and its terms in descending lex order is hashed as one line; the
+second line printed is "<expansions> <sha256>".  Run it on two source trees:
+equal first lines mean every single coefficient is the same, and equal
+second lines mean every full expansion is.  The package is loaded from the
+``src`` directory beside this script.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from schurkron import enumerate_partitions, kron_coeff  # noqa: E402
+from schurkron import enumerate_partitions, kron_coeff, kron_expand_tworow  # noqa: E402
 
 
 def digest(nmax: int) -> tuple[int, str]:
@@ -36,12 +41,27 @@ def digest(nmax: int) -> tuple[int, str]:
     return queries, sha.hexdigest()
 
 
+def expansion_digest(nmax: int) -> tuple[int, str]:
+    """(number of expansions, sha256 hex digest) over every n <= nmax."""
+    sha = hashlib.sha256()
+    expansions = 0
+    for n in range(nmax + 1):
+        for p in range(n // 2 + 1):
+            for lam in enumerate_partitions(n):
+                expansion, method = kron_expand_tworow(n, p, lam)
+                terms = expansion.items_desc()
+                sha.update(f"{n} {p} {lam} {method} {terms}\n".encode())
+                expansions += 1
+    return expansions, sha.hexdigest()
+
+
 def main(argv: list[str]) -> int:
     if len(argv) > 1 or (argv and not argv[0].isdigit()):
         print("usage: python tools/coeff_digest.py [NMAX]", file=sys.stderr)
         return 2
-    queries, hexdigest = digest(int(argv[0]) if argv else 12)
-    print(f"{queries} {hexdigest}")
+    nmax = int(argv[0]) if argv else 12
+    for count, hexdigest in (digest(nmax), expansion_digest(nmax)):
+        print(f"{count} {hexdigest}")
     return 0
 
 

@@ -24,19 +24,34 @@ value off the profile, restores the saved vmax and tries the cell's next
 value.  So the fillings are visited in the same order as by a recursive
 walk.
 
-The walk merges equal fill states before the tail: the shortest run of
-whole last skew rows that holds at least 3 cells (the last row alone when it
-is that long).  How the tail can be filled depends only on the values of the
-row above it over its first row's columns, on the profile and on the limit,
-which is constant, so the merge is exact in both modes and many paths share
-one state.  The walk counts the paths per state at the first cell of the
-tail and fills the tail once per state, weighting each tableau it reaches by
-the count.  Letting the tail span several short rows, instead of merging
-only before a long last row, gives shapes with short bottom rows the same
-gain.  The Kronecker check (rows 1 and 2 settled) must already have run by
-then, so shapes whose check runs inside the tail, and capped walks, whose
-stopping bucket depends on the visiting order, keep the plain per-tableau
-walk; so do shapes whose tail would be the whole shape.
+The walk merges equal fill states in layers.  Read from the bottom up, the
+cells are cut at row starts into layers of whole skew rows; the cells above
+the top cut form the first layer.  How the cells below a cut can be filled
+depends only on the values just above them, those of the row above the cut
+over the next row's columns, on the profile and on the limit, which is
+constant; so these values and the profile make the cut's state, and the
+merge is exact in both modes.  The walk fills the first layer once, and
+each later layer once per distinct state of the cut above it.  A state
+carries a weight, the number of paths through the layers above that reach
+it: the first layer reaches its states with weight 1, and a layer filled
+from a state of weight w adds w to each state or bucket it reaches, so
+every bucket still counts each tableau once.  A state costs a key, and a
+layer of one or two cells rarely saves what its states cost; so each layer
+below a cut holds at least 3 cells, counted down to the next cut or to the
+end, and each cut has a cell above it.
+
+The last cell is settled in one loop: the walk adds the weight to the bucket
+of each allowed value in turn, the profile with that value placed.  The last
+cell has no cell after it, so each allowed value is a leaf, and the loop
+adds what a leaf per value would add, in the same order.
+
+The Kronecker check (rows 1 and 2 settled) must run before the first cut,
+so no cut lies above the first cell of row 3; a shape with no cell below
+row 2 runs its check at the leaf, so it is walked one tableau at a time,
+with no cut and no last-cell loop.  A capped walk stops at the first bucket
+to reach the cap, which depends on the visiting order, so it has no cut: it
+visits every tableau one by one, and the last-cell loop adds one to each
+bucket in that same order.
 """
 
 from __future__ import annotations
@@ -93,11 +108,25 @@ def reverse_reading_word(t: Tableau) -> tuple[int, ...]:
     return tuple(word)
 
 
+def _letters(word: Iterable[int]) -> tuple[int, ...]:
+    """The letters of word as ints; DomainError unless each one is a
+    positive integer."""
+    word = tuple(word)
+    try:
+        letters = tuple(map(operator.index, word))
+    except TypeError:
+        letters = (0,)  # refused below, like a letter below 1
+    if any(v < 1 for v in letters):
+        raise DomainError(f"letters must be positive integers, got {word!r}")
+    return letters
+
+
 def tableau_type(t: Tableau) -> tuple[int, ...]:
-    """(t_1, t_2, ...) where t_i counts the entries equal to i."""
+    """(t_1, t_2, ...) where t_i counts the entries equal to i.  DomainError
+    unless every entry is a positive integer."""
     counts: list[int] = []
     for row in t.rows:
-        for v in row:
+        for v in _letters(row):
             while len(counts) < v:
                 counts.append(0)
             counts[v - 1] += 1
@@ -105,8 +134,10 @@ def tableau_type(t: Tableau) -> tuple[int, ...]:
 
 
 def is_alpha_lattice(word: Sequence[int], alpha: Partition) -> bool:
-    """True iff every prefix has #i's + alpha_i >= #(i+1)'s + alpha_{i+1}."""
+    """True iff every prefix has #i's + alpha_i >= #(i+1)'s + alpha_{i+1}.
+    DomainError unless every letter is a positive integer."""
     alpha = check_partition(alpha)
+    word = _letters(word)
     width = max([len(alpha) + 1, *word]) + 1 if word else len(alpha) + 2
     profile = [0] * (width + 1)
     profile[0] = len(word) + sum(alpha) + 1
@@ -218,7 +249,15 @@ def _fill(
 ) -> dict[Partition, int]:
     """The fill engine: accumulate {type + alpha: count} into ``out`` over
     the alpha-lattice SSYT of the skew shape (Kronecker tableaux only when
-    kron=True), only of type target - alpha when a target is given."""
+    kron=True), only of type target - alpha when a target is given.
+
+    One walk down the cells finds the layers' ends (see the module
+    docstring).  ``walk`` fills the first layer from the empty filling and
+    records {state: weight} at its end; each later layer restores every
+    state of the one above, the row above's values and the profile, and
+    walks from it with its weight, recording the next layer's states, until
+    the bottom layer ends at the last cell, whose allowed values go straight
+    to the buckets.  Without a cut the first layer is the whole walk."""
     meta = _cells(outer, inner)
     ncells = len(meta)
     la = len(alpha)
@@ -236,35 +275,57 @@ def _fill(
     check_at, slot2, gap, row1 = (
         _kron_setup(outer, inner, alpha, meta, ncells) if kron else (-1, -1, 0, 0)
     )
-    stop = ncells
+    # the last cell's values go straight to the buckets, unless the Kronecker
+    # check runs at the leaf
+    last = ncells - 1 if ncells and check_at < ncells else ncells
+    # (end, lo) of each layer, the lowest first: a layer ends at a row start
+    # at or after the check, with >= 3 cells after it before the next cut or
+    # the end; its states read vals[lo:end], the row above over the next
+    # row's columns: as inner is a partition, these are that row's last cells
+    cuts = [(last, last)]
     if cap is None:
-        # the tail's first cell: back up to a row start with >= 3 cells after it
-        first = ncells
-        while first > 0 and (ncells - first < 3 or meta[first - 1][2] == meta[first][2]):
-            first -= 1
-        if first > 0 and check_at <= first:
-            stop = first
-    aboves = [meta[k][0] for k in range(stop, ncells) if 0 <= meta[k][0] < stop]
+        below = ncells
+        for k in range(ncells - 1, max(check_at, 1) - 1, -1):
+            if below - k >= 3 and meta[k - 1][2] != meta[k][2]:
+                cuts.append((k, meta[k][0] if meta[k][0] >= 0 else k))
+                below = k
+    end, lo = cuts.pop()
     states: dict[tuple, int] = {}
     his = [0] * ncells  # the largest value cell k may take
     vmaxs = [0] * ncells  # vmax on entry to cell k
 
     def walk(k: int, end: int, vmax: int, weight: int) -> None:
         """Visit the fillings of cells k..end-1 that extend the current vals
-        and profile, backing up in place; each one reached at a leaf adds
-        weight to its bucket (or, before the tail, one path to its state)."""
+        and profile, backing up in place.  Each one reached adds weight to
+        its state at a layer's end, or to its buckets: at the last cell once
+        per allowed value, at a leaf once."""
         start = k
         while True:
-            # enter cell k: a dead end, a leaf, or a range of values to try
+            # enter cell k: a dead end, a layer's end, or values to try
             if k == check_at and not (
                 (slot2 >= 0 and vals[slot2] == 1) or vals[:row1].count(2) == gap
             ):
                 v = hi = 0
             elif k == end:
                 v = hi = 0
-                if k < ncells:
-                    key = (tuple([vals[a] for a in aboves]), tuple(profile[1 : vmax + 1]))
-                    states[key] = states.get(key, 0) + 1
+                if k < last:
+                    key = (tuple(vals[lo:k]), tuple(profile[1 : vmax + 1]))
+                    states[key] = states.get(key, 0) + weight
+                elif k < ncells:
+                    above, right, _ = meta[k]
+                    u = vals[above] if above >= 0 else 0
+                    top = vals[right] if right >= 0 else vmax + 1
+                    while u < top:
+                        u += 1
+                        pu = profile[u]
+                        if profile[u - 1] > pu and pu < limit[u]:
+                            profile[u] = pu + 1
+                            nu = tuple(profile[1 : (u if u > vmax else vmax) + 1])
+                            profile[u] = pu
+                            c = buckets.get(nu, 0) + weight
+                            buckets[nu] = c
+                            if cap is not None and c >= cap:
+                                raise CapReached(nu)
                 else:
                     nu = tuple(profile[1 : vmax + 1])
                     c = buckets.get(nu, 0) + weight
@@ -300,15 +361,16 @@ def _fill(
                 vmax = v
             k += 1
 
-    walk(0, stop, la, 1)
-    if stop < ncells:
-        check_at = -1
-        width = len(profile) - 1
-        for (above_vals, prof), weight in states.items():
-            for a, v in zip(aboves, above_vals):
-                vals[a] = v
+    walk(0, end, la, 1)
+    check_at = -1
+    width = len(profile) - 1
+    while end < last:
+        start, above_lo, layer, states = end, lo, states, {}
+        end, lo = cuts.pop()
+        for (above_vals, prof), weight in layer.items():
+            vals[above_lo:start] = above_vals
             profile[1:] = prof + (0,) * (width - len(prof))
-            walk(first, ncells, len(prof), weight)
+            walk(start, end, len(prof), weight)
     return buckets
 
 

@@ -196,6 +196,17 @@ class TestKronExpand:
         total = sum(c * dimension(nu) for nu, c in result.expansion.items_desc())
         assert total == dimension((n - p, p)) * dimension(lam)
 
+    def test_ladder_rung_n36(self):
+        # each Kronecker walk of lam/alpha merges fill states at 2 to 4 row starts
+        lam = (12, 9, 7, 5, 3)
+        result = kron_expand_tworow(36, 6, lam)
+        assert result.method == METHOD_ROWS
+        terms = result.expansion.as_dict()
+        assert len(terms) == 3273
+        assert sum(terms.values()) == 565570
+        total = sum(c * dimension(nu) for nu, c in terms.items())
+        assert total == dimension((30, 6)) * dimension(lam)
+
     def test_deep_tall_expansion_is_the_wide_one_conjugated(self):
         # the signed sum walks (700, 700) for the 700-row lam too
         tall = kron_expand_tworow(1400, 20, (2,) * 700)

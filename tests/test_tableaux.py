@@ -1,10 +1,12 @@
 import itertools
 from collections import Counter
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from schurkron import (
+    DomainError,
     SkewShape,
     Tableau,
     conjugate,
@@ -101,6 +103,12 @@ class TestReadingWord:
         )
         assert tableau_type(FIG1) == (0, 3, 0, 1, 2, 0, 2, 3, 3)
 
+    @pytest.mark.parametrize("row", [(0, 1), (-1, 2), (1.0, 2), ("1", 2)])
+    def test_type_needs_positive_integer_entries(self, row):
+        # an entry of 0 or less raised IndexError
+        with pytest.raises(DomainError, match="letters must be positive integers"):
+            tableau_type(Tableau(skew_shape((2,), ()), (row,)))
+
     def test_single_row(self):
         t = Tableau(skew_shape((3,), ()), ((1, 1, 2),))
         assert reverse_reading_word(t) == (2, 1, 1)
@@ -121,6 +129,12 @@ class TestAlphaLattice:
         assert is_alpha_lattice((2, 2, 1), (2,))
         assert not is_alpha_lattice((2, 2, 2), (2,))
         assert is_alpha_lattice((1, 1, 2, 1, 2, 3), ())
+
+    @pytest.mark.parametrize("word", [(1, -1), (1, 0), (0,), (1, 1.0), (1, "2")])
+    def test_letters_must_be_positive_integers(self, word):
+        # (1, -1) was accepted, -1 indexing the profile from its end
+        with pytest.raises(DomainError, match="letters must be positive integers"):
+            is_alpha_lattice(word, ())
 
     def test_matches_plain_lattice_definition(self):
         # classic definition: every prefix has at least as many i's as (i+1)'s
@@ -223,15 +237,23 @@ def _skew_rows(outer, inner):
     return [width for width in rows if width]
 
 
-def _merges(outer, inner):
-    """True when the shortest run of whole last skew rows with at least 3
-    cells leaves a row above it, the shape condition under which
-    _expand_fillings fills that tail once per distinct state."""
-    rows = _skew_rows(outer, inner)
-    tail = 0
-    while rows and tail < 3:
-        tail += rows.pop()
-    return tail >= 3 and bool(rows)
+def _merges(outer, inner, alpha=(), kron=False):
+    """The number of points where the walk of outer/inner merges equal fill
+    states.  Read from the bottom up, each merge point starts a layer of
+    whole skew rows holding at least 3 cells, with a cell left above it.
+    When the Kronecker check runs (kron and alpha_1 > alpha_2), no merge
+    point lies above row 3, where the check is made."""
+    rows = [(r, end - part(inner, r + 1)) for r, end in enumerate(outer)]
+    rows = [(r, width) for r, width in rows if width]
+    top = 2 if kron and part(alpha, 1) != part(alpha, 2) else 0
+    merges = cells = 0
+    while rows:
+        r, width = rows.pop()
+        cells += width
+        if cells >= 3 and rows and r >= top:
+            merges += 1
+            cells = 0
+    return merges
 
 
 def _assert_expand_matches_count(lam, alpha, kron):
@@ -244,11 +266,59 @@ def _assert_expand_matches_count(lam, alpha, kron):
         )
 
 
+def _assert_merge_exact(lam, alpha, kron):
+    """The merged walk of lam/alpha against the same walk capped above every
+    count: a capped walk merges no states, so it reaches every tableau one by
+    one, with weight 1."""
+    merged = _expand_fillings(lam, alpha, alpha, kron)
+    cap = max(merged.values(), default=0) + 1
+    assert _expand_fillings(lam, alpha, alpha, kron, cap=cap) == merged, (lam, alpha, kron)
+
+
+class TestMerge:
+    """The merge against no merge.  The tests of the walk against count mode
+    run the same merge on both sides, so a state weighted wrongly at a later
+    merge point would pass them."""
+
+    def test_merged_walk_is_the_unmerged_walk_small_shapes(self):
+        cases = layered = 0
+        for n in range(13):
+            for lam in enumerate_partitions(n):
+                for p in range(5):
+                    for alpha in enumerate_partitions(p, inside=lam):
+                        for kron in (False, True):
+                            _assert_merge_exact(lam, alpha, kron)
+                            cases += 1
+                            layered += _merges(lam, alpha, alpha, kron) >= 2
+        assert cases == 5428
+        # a path's weight is carried from one merge point to the next
+        assert layered > 1000
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_merged_walk_is_the_unmerged_walk_random(self, data):
+        # 4 to 7 rows and at most 24 cells, drawn from the bottom row up
+        rows = data.draw(st.integers(4, 7))
+        left, parts = 24, []
+        for r in range(rows):
+            low = parts[-1] if parts else 1
+            parts.append(data.draw(st.integers(low, left // (rows - r))))
+            left -= parts[-1]
+        lam = tuple(reversed(parts))
+        alpha = data.draw(st.sampled_from(
+            [a for p in range(5) for a in enumerate_partitions(p, inside=lam)]
+        ))
+        kron = data.draw(st.booleans())
+        assume(_merges(lam, alpha, alpha, kron))
+        _assert_merge_exact(lam, alpha, kron)
+
+
 class TestExpandFillings:
     """The unlimited walk against the type-limited one.  Both are the same
     engine with the same merge, so these tests check the type limit and the
-    bucketing, not the merge; the brute-force table in TestCountSsyt and the
-    character oracle are the independent references for that."""
+    bucketing, not the merge; TestMerge, the brute-force table in
+    TestCountSsyt and the character oracle are the independent references
+    for that."""
 
     def test_matches_count_mode_small_shapes(self):
         merged = 0

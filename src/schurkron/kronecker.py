@@ -20,8 +20,8 @@ expansion and for the capped one behind ``is_multiplicity_free``.  A single
 coefficient comes from one table per query on every route: ``_alpha_bound``
 walks lam/mu and nu/mu, at most p cells each, for the mu of the signed
 sum's two levels, and reads both the value and the bound from the L_alpha
-those walks give.  A walk depends only on the shape without its empty rows
-and columns, so each distinct reduced shape is walked once per query, over
+those walks give.  A walk reads nothing but its shape's cell list
+(``tableaux._cells``), so each distinct list is walked once per query, over
 both levels and both sides.  For one nu that is far less work than the
 rule, and the walks do not deepen with n.  The method tag still names the
 theorem that makes the value exact.  ``_rule_coeff`` keeps the rule's own
@@ -48,8 +48,9 @@ from .partitions import (
     enumerate_partitions,
     intersect,
     part,
+    remove_box,
 )
-from .tableaux import CapReached, _count_fillings, _expand_fillings, _reduced
+from .tableaux import CapReached, _cells, _count_fillings, _expand_fillings, _fill
 
 METHOD_ROWS = "tableau_rule"
 METHOD_CONJUGATE = "tableau_rule_conjugate"
@@ -109,20 +110,20 @@ def _lr_squares(
     lam: Partition,
     nu: Partition,
     mus: set[Partition],
-    walks: dict[tuple[Partition, Partition], dict[Partition, int]],
+    walks: dict[tuple, dict[Partition, int]],
 ) -> dict[Partition, int]:
     """{alpha: sum over mu in mus of c^lam_{mu alpha} c^nu_{mu alpha}}, from
-    unshifted walks of lam/mu and nu/mu.  A walk depends only on the shape
-    without its empty rows and columns (``tableaux._reduced``); ``walks``
-    maps each such reduced shape to its walk, so a shape met again, on
-    either side or for another mu, is not walked again."""
+    unshifted walks of lam/mu and nu/mu.  A walk reads nothing but its cell
+    list (``tableaux._cells``), so equal lists walk alike; ``walks`` maps
+    each list to its walk, so a list met again, on either side or for
+    another mu, is not walked again."""
     out: dict[Partition, int] = {}
     for mu in mus:
-        shapes = _reduced(lam, mu), _reduced(nu, mu)
-        for shape in shapes:
-            if shape not in walks:
-                walks[shape] = _expand_fillings(*shape, (), False)
-        left, right = walks[shapes[0]], walks[shapes[1]]
+        keys = _cells(lam, mu), _cells(nu, mu)
+        for cells in keys:
+            if cells not in walks:
+                walks[cells] = _fill(cells, ())
+        left, right = walks[keys[0]], walks[keys[1]]
         for alpha, c in left.items():
             if alpha in right:
                 out[alpha] = out.get(alpha, 0) + c * right[alpha]
@@ -136,7 +137,7 @@ def _alpha_bound(lam: Partition, nu: Partition, p: int) -> tuple[int, int]:
 
     Write L_a = <s_a s_{lam/a}, s_nu>, the number of a-lattice SSYT of shape
     lam/a and type nu - a; K_a for the Kronecker tableaux among them; and a-
-    for a with one box taken off row 1.  Then
+    for a with one box taken off row 1 (``remove_box(a, 0)``).  Then
 
         K_a = L_a           when a_1 == a_2,
         K_a = L_a - L_{a-}  when a_1 > a_2 and lam_1 >= 2 a_1 - 1,
@@ -178,12 +179,12 @@ def _alpha_bound(lam: Partition, nu: Partition, p: int) -> tuple[int, int]:
     lam & nu.  Unshifted walks of lam/mu and nu/mu, at most p cells each,
     give these numbers for every a at once; the mu of size n-p+1 give the
     L_b for b |- p-1, the L_{a-} among them, and both levels are always
-    walked.  A skew Schur function depends only on the cells of its shape,
-    so the walks are keyed by the reduced shape (``tableaux._reduced``), and
-    each distinct reduced shape is walked once per query, over both levels
-    and both sides; with nu == lam that is at most one walk per mu.  The
-    coefficient is the sum of the table's top level minus the sum of its
-    lower one: summed over a |- p, the L_a give
+    walked.  A walk reads nothing but its shape's cell list
+    (``tableaux._cells``), which keeps no empty row or column, so the walks
+    are keyed by that list, and each distinct list is walked once per
+    query, over both levels and both sides; with nu == lam that is at most
+    one walk per mu.  The coefficient is the sum of the table's top level
+    minus the sum of its lower one: summed over a |- p, the L_a give
     <sum over a of s_a s_{lam/a}, s_nu>, the first half of the signed sum in
     the ``oracle`` docstring, and the L_b give its second half.  A negative
     result raises InvariantError.  Kronecker tableaux are a-lattice SSYT, so
@@ -204,7 +205,7 @@ def _alpha_bound(lam: Partition, nu: Partition, p: int) -> tuple[int, int]:
         if a1 == part(alpha, 2):
             bound += count
         elif lam[0] >= 2 * a1 - 1:
-            bound += count - lower.get((a1 - 1, *alpha[1:]) if a1 > 1 else (), 0)
+            bound += count - lower.get(remove_box(alpha, 0), 0)
         else:
             bound += _count_fillings(lam, alpha, nu, alpha, True)
     return value, bound

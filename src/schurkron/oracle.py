@@ -90,12 +90,12 @@ def oracle_tworow_signed_sum(n: int, p: int, lam: Partition) -> SchurExpansion:
     (lam,) = check_tworow_args(n, p, lam)
     tall = len(lam) > part(lam, 1)
     work = conjugate(lam) if tall else lam
-    levels = shrink(work, p)
+    top, below = _coeff_levels(work, work, p)
     acc: dict[Partition, int] = {}
-    for mu in levels[p]:
+    for mu in top:
         _expand_fillings(work, mu, mu, kron=False, out=acc)
     neg: dict[Partition, int] = {}
-    for mu in levels[p - 1] if p else ():
+    for mu in below:
         _expand_fillings(work, mu, mu, kron=False, out=neg)
     for nu, c in neg.items():
         acc[nu] = acc.get(nu, 0) - c

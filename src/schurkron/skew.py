@@ -14,7 +14,15 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from .expansion import SchurExpansion
-from .partitions import DomainError, Partition, SkewShape, check_partition, part, skew_shape
+from .partitions import (
+    DomainError,
+    Partition,
+    SkewShape,
+    check_partition,
+    part,
+    remove_box,
+    skew_shape,
+)
 from .tableaux import _expand_fillings
 
 
@@ -146,6 +154,5 @@ def positivity_diff(lam: Partition, alpha: Partition) -> PositivityResult:
         raise DomainError("alpha must be non-empty")
     if part(alpha, 1) == part(alpha, 2):
         raise DomainError(f"alpha must have alpha_1 > alpha_2: {alpha}")
-    minus = tuple(x for x in (alpha[0] - 1,) + alpha[1:] if x)
-    diff = skew_times_alpha(lam, alpha) - skew_times_alpha(lam, minus)
+    diff = skew_times_alpha(lam, alpha) - skew_times_alpha(lam, remove_box(alpha, 0))
     return PositivityResult(diff, diff.is_positive)

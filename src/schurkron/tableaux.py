@@ -12,6 +12,12 @@ one limit: v may be placed only while profile[v] < nu_v.  The cells number
 |nu| - |alpha|, so every leaf then has profile == nu and the count is the
 sum of the buckets.
 
+The walk sees the shape only as its cell list (``_cells``): for each cell,
+in fill order, the index of the cell above it and of the cell to its right.
+The list names no row or column, so empty rows and columns add nothing to
+it, and two shapes with the same list have the same walk; a cell with no
+right neighbour starts a row.
+
 The walk is one loop that backtracks in place, so its depth is not bounded
 by Python's recursion limit and it keeps no frame per cell.  Cell k's
 cursor is vals[k], the value it holds.  On entering cell k the loop saves
@@ -78,8 +84,9 @@ class Tableau(NamedTuple):
 
 
 def is_ssyt(t: Tableau) -> bool:
-    """Rows weakly increase left to right, columns strictly increase down.
-    DomainError unless the shape is a skew shape."""
+    """Rows weakly increase left to right, columns strictly increase down, and
+    every entry is positive.  DomainError unless the shape is a skew shape
+    and every entry an integer."""
     outer, inner = skew_shape(*t.shape)
     if len(t.rows) != len(outer):
         return False
@@ -88,7 +95,7 @@ def is_ssyt(t: Tableau) -> bool:
         start = inner[r] if r < len(inner) else 0
         if len(row) != outer[r] - start:
             return False
-        for off, v in enumerate(row):
+        for off, v in enumerate(_integers(row, "entries")):
             if v < 1:
                 return False
             grid[(r, start + off)] = v
@@ -106,6 +113,15 @@ def reverse_reading_word(t: Tableau) -> tuple[int, ...]:
     for row in t.rows:
         word.extend(reversed(row))
     return tuple(word)
+
+
+def _integers(values: Iterable, what: str) -> tuple[int, ...]:
+    """values as ints; DomainError, naming what, unless each is an integer."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise DomainError(f"{what} must be integers, got {values!r}") from None
 
 
 def _letters(word: Iterable[int]) -> tuple[int, ...]:
@@ -139,10 +155,7 @@ def is_alpha_lattice(word: Sequence[int], alpha: Partition) -> bool:
     alpha = check_partition(alpha)
     word = _letters(word)
     width = max([len(alpha) + 1, *word]) + 1 if word else len(alpha) + 2
-    profile = [0] * (width + 1)
-    profile[0] = len(word) + sum(alpha) + 1
-    for i, a in enumerate(alpha):
-        profile[i + 1] = a
+    profile = [len(word) + sum(alpha) + 1, *alpha] + [0] * (width - len(alpha))
     for v in word:
         if profile[v - 1] <= profile[v]:
             return False
@@ -150,84 +163,44 @@ def is_alpha_lattice(word: Sequence[int], alpha: Partition) -> bool:
     return True
 
 
-def _cells(outer: Partition, inner: Partition) -> tuple[tuple[int, int, int], ...]:
-    """Reverse-reading-order metadata: (above index, right index, row).  Row
-    r's cells, columns end-1 down to start, take consecutive indices from
-    base, so cell (r, c) has index base + end - 1 - c."""
-    meta: list[tuple[int, int, int]] = []
+def _cells(outer: Partition, inner: Partition) -> tuple[tuple[int, int], ...]:
+    """The cell list of outer/inner, the one description of a shape the walk
+    reads: (above index, right index) per cell in reverse reading order, -1
+    where there is no such cell.  Row r's cells, columns end-1 down to
+    start, take consecutive indices from base, so cell (r, c) has index
+    base + end - 1 - c.  No row or column number is kept: an empty row or
+    column adds no cell, and shapes that differ only by those have equal
+    lists."""
+    cells: list[tuple[int, int]] = []
     above_start = above_end = above_base = 0
     for r, end in enumerate(outer):
         start = inner[r] if r < len(inner) else 0
-        base = len(meta)
+        base = len(cells)
         for c in range(end - 1, start - 1, -1):
             above = above_base + above_end - 1 - c if r and c >= above_start else -1
-            meta.append((above, len(meta) - 1 if c < end - 1 else -1, r))
+            cells.append((above, len(cells) - 1 if c < end - 1 else -1))
         above_start, above_end, above_base = start, end, base
-    return tuple(meta)
+    return tuple(cells)
 
 
-def _reduced(outer: Partition, inner: Partition) -> tuple[Partition, Partition]:
-    """The skew shape outer/inner without its empty rows and columns, as
-    (outer, inner) partitions; it has the same fillings, so the same skew
-    Schur function.
+def _kron_setup(outer: Partition, inner: Partition, alpha: Partition, kron: bool):
+    """The Kronecker check of a walk of outer/inner shifted by alpha, as
+    (check_at, slot2, gap, row1), from the row lengths alone.
 
-    Read from the bottom row up, both ends of the rows weakly increase.  So
-    the columns left of the lowest non-empty row are empty, and so are those
-    between a non-empty row's start and the end of the non-empty row below
-    it, when that start lies further right; no other column left of the top
-    non-empty row's end is empty.  The pass deletes those columns by
-    shifting each row left by the empty columns found so far, and skips the
-    empty rows.  Each cell keeps its row neighbour, since a row keeps its
-    cells in order.  It keeps its column neighbour, for two non-empty rows
-    that become adjacent: if they share a column, no empty column lies
-    between the lower one's end and the upper one's start, so both move by
-    the same shift; if not, the upper one starts at or right of the lower
-    one's end (rows with empty rows between them never share a column, as an
-    empty row's start is its end), and the shift deletes only the empty
-    columns between the two, so that stays true.  The rows keep their order,
-    so every cell keeps its place in the reading order, and the fillings and
-    their lattice words are the same.  The shifted starts and ends still
-    weakly increase upwards, so the result is a skew shape; its lowest row
-    starts in column 0, so the new inner shape ends in zeros, which are
-    dropped."""
-    ends: list[int] = []
-    starts: list[int] = []
-    shift = below_end = 0
-    for r in range(len(outer) - 1, -1, -1):
-        start, end = (inner[r] if r < len(inner) else 0), outer[r]
-        if start < end:
-            if start > below_end:
-                shift += start - below_end
-            below_end = end
-            ends.append(end - shift)
-            if start > shift:
-                starts.append(start - shift)
-    return tuple(reversed(ends)), tuple(reversed(starts))
-
-
-def _kron_setup(outer, inner, alpha, meta, ncells):
-    """Checkpoint data for the Kronecker tableau conditions.
-
-    Returns (check_at, slot2, gap, row1).  check_at == -1 means condition (I)
-    applies (alpha_1 == alpha_2) and every filling qualifies.  Otherwise a
-    filling must have a 1 in box (2, alpha_1) or exactly gap 2's in row 1,
+    With kron false, or alpha_1 == alpha_2 (condition (I): every filling
+    qualifies), there is no check: (-1, -1, 0, 0).  Otherwise a filling must
+    have a 1 in box (2, alpha_1), cell slot2, or exactly gap 2's in row 1,
     whose row1 cells come first in the fill order; both facts are settled
-    once rows 1 and 2 are filled, so the check runs at the first cell of
-    row 3 (or at the leaf for shorter shapes).
+    once rows 1 and 2 are filled, so the check runs at cell check_at, the
+    first of row 3 (or at the leaf for shorter shapes).
     """
-    a1 = alpha[0] if alpha else 0
-    a2 = alpha[1] if len(alpha) > 1 else 0
-    if a1 == a2:
+    a1, a2 = part(alpha, 1), part(alpha, 2)
+    if not kron or a1 == a2:
         return -1, -1, 0, 0
-    row1 = sum(1 for _, _, r in meta if r == 0)
+    row1 = part(outer, 1) - part(inner, 1)
     # box (2, alpha_1) follows row 1's cells, outer_2 - alpha_1 cells into row 2
     slot2 = row1 + part(outer, 2) - a1 if part(inner, 2) < a1 <= part(outer, 2) else -1
-    check_at = ncells
-    for k, (_, _, r) in enumerate(meta):
-        if r >= 2:
-            check_at = k
-            break
-    return check_at, slot2, a1 - a2, row1
+    return row1 + part(outer, 2) - part(inner, 2), slot2, a1 - a2, row1
 
 
 class CapReached(Exception):
@@ -239,17 +212,18 @@ class CapReached(Exception):
 
 
 def _fill(
-    outer: Partition,
-    inner: Partition,
+    cells: tuple[tuple[int, int], ...],
     alpha: Partition,
-    kron: bool,
+    check: tuple[int, int, int, int] = (-1, -1, 0, 0),
     target: Partition | None = None,
     out: dict | None = None,
     cap: int | None = None,
 ) -> dict[Partition, int]:
     """The fill engine: accumulate {type + alpha: count} into ``out`` over
-    the alpha-lattice SSYT of the skew shape (Kronecker tableaux only when
-    kron=True), only of type target - alpha when a target is given.
+    the alpha-lattice SSYT of the shape whose cell list is ``cells``
+    (Kronecker tableaux only under a ``_kron_setup`` check), only of type
+    target - alpha when a target is given.  It reads the shape from the
+    list alone, so equal lists walk alike.
 
     One walk down the cells finds the layers' ends (see the module
     docstring).  ``walk`` fills the first layer from the empty filling and
@@ -258,13 +232,8 @@ def _fill(
     walks from it with its weight, recording the next layer's states, until
     the bottom layer ends at the last cell, whose allowed values go straight
     to the buckets.  Without a cut the first layer is the whole walk."""
-    meta = _cells(outer, inner)
-    ncells = len(meta)
-    la = len(alpha)
-    profile = [0] * (ncells + la + 2)
-    profile[0] = ncells + sum(alpha) + 1
-    for i, a in enumerate(alpha):
-        profile[i + 1] = a
+    ncells = len(cells)
+    profile = [ncells + sum(alpha) + 1, *alpha] + [0] * (ncells + 1)
     # profile[v] must stay below limit[v]: target_v, or out of reach
     if target is None:
         limit = [profile[0]] * len(profile)
@@ -272,9 +241,7 @@ def _fill(
         limit = ([0, *target] + [0] * len(profile))[: len(profile)]
     vals = [0] * ncells
     buckets = {} if out is None else out
-    check_at, slot2, gap, row1 = (
-        _kron_setup(outer, inner, alpha, meta, ncells) if kron else (-1, -1, 0, 0)
-    )
+    check_at, slot2, gap, row1 = check
     # the last cell's values go straight to the buckets, unless the Kronecker
     # check runs at the leaf
     last = ncells - 1 if ncells and check_at < ncells else ncells
@@ -286,8 +253,9 @@ def _fill(
     if cap is None:
         below = ncells
         for k in range(ncells - 1, max(check_at, 1) - 1, -1):
-            if below - k >= 3 and meta[k - 1][2] != meta[k][2]:
-                cuts.append((k, meta[k][0] if meta[k][0] >= 0 else k))
+            above, right = cells[k]
+            if below - k >= 3 and right < 0:
+                cuts.append((k, above if above >= 0 else k))
                 below = k
     end, lo = cuts.pop()
     states: dict[tuple, int] = {}
@@ -312,7 +280,7 @@ def _fill(
                     key = (tuple(vals[lo:k]), tuple(profile[1 : vmax + 1]))
                     states[key] = states.get(key, 0) + weight
                 elif k < ncells:
-                    above, right, _ = meta[k]
+                    above, right = cells[k]
                     u = vals[above] if above >= 0 else 0
                     top = vals[right] if right >= 0 else vmax + 1
                     while u < top:
@@ -333,7 +301,7 @@ def _fill(
                     if cap is not None and c >= cap:
                         raise CapReached(nu)
             else:
-                above, right, _ = meta[k]
+                above, right = cells[k]
                 v = vals[above] if above >= 0 else 0
                 hi = his[k] = vals[right] if right >= 0 else vmax + 1
                 vmaxs[k] = vmax
@@ -361,7 +329,7 @@ def _fill(
                 vmax = v
             k += 1
 
-    walk(0, end, la, 1)
+    walk(0, end, len(alpha), 1)
     check_at = -1
     width = len(profile) - 1
     while end < last:
@@ -375,11 +343,7 @@ def _fill(
 
 
 def _count_fillings(
-    outer: Partition,
-    inner: Partition,
-    nu: Partition,
-    alpha: Partition,
-    kron: bool,
+    outer: Partition, inner: Partition, nu: Partition, alpha: Partition, kron: bool
 ) -> int:
     """Number of alpha-lattice SSYT of shape outer/inner and type nu - alpha
     (Kronecker tableaux only when kron=True).  nu must contain alpha row by
@@ -387,7 +351,8 @@ def _count_fillings(
     coefficient is answered by the memo of ``kronecker.kron_coeff``."""
     if sum(nu) != sum(outer) - sum(inner) + sum(alpha):
         return 0
-    return sum(_fill(outer, inner, alpha, kron, nu).values())
+    check = _kron_setup(outer, inner, alpha, kron)
+    return sum(_fill(_cells(outer, inner), alpha, check, nu).values())
 
 
 def _expand_fillings(
@@ -403,15 +368,12 @@ def _expand_fillings(
     when kron=True).  If cap is given, CapReached is raised as soon as any
     bucket reaches it, with the fillings visited one by one in reverse
     reading order."""
-    return _fill(outer, inner, alpha, kron, None, out, cap)
+    check = _kron_setup(outer, inner, alpha, kron)
+    return _fill(_cells(outer, inner), alpha, check, None, out, cap)
 
 
 def _normalize_counts(counts: Iterable[int]) -> tuple[int, ...]:
-    c = tuple(counts)
-    try:
-        c = tuple(map(operator.index, c))
-    except TypeError:
-        raise DomainError(f"type counts must be integers, got {c!r}") from None
+    c = _integers(counts, "type counts")
     while c and c[-1] == 0:
         c = c[:-1]
     if any(x < 0 for x in c):

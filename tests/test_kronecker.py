@@ -46,9 +46,9 @@ from schurkron import (
     skew_times_alpha,
     tworow_target_coeff,
 )
-from schurkron import InvariantError, clear_caches, kronecker, oracle, tableaux
+from schurkron import InvariantError, clear_caches, kronecker, oracle
 from schurkron.kronecker import _alpha_bound, _route, _rule_coeff, _tableau_sum, two_row
-from schurkron.tableaux import _count_fillings, _expand_fillings, _reduced
+from schurkron.tableaux import _count_fillings, _expand_fillings
 
 
 class TestKroneckerTableauCount:
@@ -439,27 +439,26 @@ class TestOneTable:
         with pytest.raises(InvariantError, match=r"went negative at \(3, 2\)"):
             kron_coeff(5, 2, (3, 2), (3, 2))
 
-    def test_each_reduced_shape_walked_once_per_query(self, monkeypatch):
-        walked = []
-        fill = tableaux._fill
-
-        def logged_fill(outer, inner, alpha, kron, *args, **kwargs):
-            if alpha == () and not kron:
-                walked.append(_reduced(outer, inner))
-            return fill(outer, inner, alpha, kron, *args, **kwargs)
-
-        monkeypatch.setattr(tableaux, "_fill", logged_fill)
+    def test_each_cell_list_walked_once_per_query(self, fill_walks):
+        # the L-walks are the unshifted ones; a hard alpha's walk is shifted
+        walks = lookups = 0
+        clear_caches()  # a memoised kron_coeff would walk nothing
         for n in range(0, 10):
             shapes = list(enumerate_partitions(n))
             for p in range(0, n // 2 + 1):
                 for lam in shapes:
                     for nu in shapes:
-                        walked.clear()
+                        fill_walks.clear()
                         kron_coeff(n, p, lam, nu)
+                        walked = [cells for cells, alpha, _ in fill_walks if alpha == ()]
                         assert len(walked) == len(set(walked)), (p, lam, nu)
+                        mus = sum(map(len, oracle._coeff_levels(lam, nu, p)))
                         if nu == lam:
-                            mus = sum(map(len, oracle._coeff_levels(lam, lam, p)))
                             assert len(walked) <= mus, (p, lam)
+                        walks += len(walked)
+                        lookups += 2 * mus
+        # a list met again, on the other side or for another mu, is shared
+        assert 0 < walks < lookups
 
 
 # each entry point with every shape slot filled by a bad shape of size 5

@@ -18,7 +18,6 @@ from schurkron import (
     oracle_tworow_signed_coeff,
     oracle_tworow_signed_sum,
     part,
-    tableaux,
 )
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "schurkron"
@@ -45,45 +44,35 @@ def test_nothing_recurses():
     assert found == []
 
 
-def test_signed_sums_walk_at_most_p_cells(monkeypatch):
-    walks = []
-    fill = tableaux._fill
-
-    def sized_fill(outer, inner, *args, **kwargs):
-        walks.append(sum(outer) - sum(inner))
-        return fill(outer, inner, *args, **kwargs)
-
-    monkeypatch.setattr(tableaux, "_fill", sized_fill)
+def test_signed_sums_walk_at_most_p_cells(fill_walks):
     for n in range(1, 11):
         for p in range(0, n // 2 + 1):
             for lam in enumerate_partitions(n):
-                walks.clear()
+                fill_walks.clear()
                 oracle_tworow_signed_sum(n, p, lam)
                 for nu in enumerate_partitions(n):
                     oracle_tworow_signed_coeff(n, p, lam, nu)
-                assert walks and max(walks) <= p, (n, p, lam)
+                assert fill_walks, (n, p, lam)
+                assert max(len(cells) for cells, _, _ in fill_walks) <= p, (n, p, lam)
 
 
-def test_upper_bound_walks_at_most_p_cells_but_for_hard_alpha(monkeypatch):
-    long_walks = []
-    fill = tableaux._fill
-
-    def sized_fill(outer, inner, alpha, kron, *args, **kwargs):
-        if sum(outer) - sum(inner) > p:
-            long_walks.append((inner, alpha, kron))
-        return fill(outer, inner, alpha, kron, *args, **kwargs)
-
-    monkeypatch.setattr(tableaux, "_fill", sized_fill)
+def test_upper_bound_walks_at_most_p_cells_but_for_hard_alpha(fill_walks):
+    walks = long_walks = 0
     clear_caches()  # a memoised kron_coeff would walk nothing
     for n in range(1, 11):
         for p in range(0, n // 2 + 1):
             for lam in enumerate_partitions(n):
                 for nu in enumerate_partitions(n):
-                    long_walks.clear()
+                    fill_walks.clear()
                     kron_upper_bound(p, lam, nu)
                     kron_coeff(n, p, lam, nu)
-                    # a hard alpha: a_1 > a_2 and 2 a_1 - 1 > lam_1
-                    for inner, alpha, kron in long_walks:
-                        assert kron and inner == alpha, (p, lam, nu, alpha)
-                        a1 = part(alpha, 1)
-                        assert a1 > part(alpha, 2) and 2 * a1 - 1 > lam[0], (p, lam, nu, alpha)
+                    walks += len(fill_walks)
+                    # a hard alpha: a_1 > a_2 and 2 a_1 - 1 > lam_1, whose
+                    # Kronecker tableaux of lam/alpha have n - p cells
+                    for cells, alpha, kron in fill_walks:
+                        if len(cells) > p:
+                            long_walks += 1
+                            assert kron and len(cells) == n - p, (p, lam, nu, alpha)
+                            a1 = part(alpha, 1)
+                            assert a1 > part(alpha, 2) and 2 * a1 - 1 > lam[0], (p, lam, nu, alpha)
+    assert walks and long_walks

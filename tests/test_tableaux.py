@@ -21,7 +21,7 @@ from schurkron import (
     skew_shape,
     tableau_type,
 )
-from schurkron.tableaux import _count_fillings, _expand_fillings, _reduced
+from schurkron.tableaux import _cells, _count_fillings, _expand_fillings
 
 FIG1 = Tableau(
     skew_shape((9, 5, 2, 1, 1), (3, 1)),
@@ -122,6 +122,14 @@ class TestReadingWord:
         assert not is_ssyt(bad_row)
         bad_col = Tableau(skew_shape((1, 1), ()), ((1,), (1,)))
         assert not is_ssyt(bad_col)
+        for row in ((0, 1), (-1, 2)):
+            assert not is_ssyt(Tableau(skew_shape((2,), ()), (row,)))
+
+    @pytest.mark.parametrize("entry", [1.5, 1.0, "a", None])
+    def test_is_ssyt_needs_integer_entries(self, entry):
+        # 1.5 was accepted; "a" and None raised TypeError
+        with pytest.raises(DomainError, match="entries must be integers"):
+            is_ssyt(Tableau(skew_shape((2,), ()), ((entry, 2),)))
 
 
 class TestAlphaLattice:
@@ -362,36 +370,41 @@ class TestExpandFillings:
         _assert_expand_matches_count(lam, alpha, data.draw(st.booleans()))
 
 
-class TestReduced:
-    """``_reduced`` drops a skew shape's empty rows and columns; the walk on
-    the reduced shape must give exactly the walk on the original."""
+class TestCells:
+    """``_cells`` is the one description of a shape the walk reads: equal
+    lists must give equal walks, and empty rows and columns add no cells."""
 
-    def test_same_walk_on_every_small_pair(self):
-        pairs = 0
+    def test_equal_lists_walk_alike_on_every_small_pair(self):
+        walks, pairs = {}, 0
         for n in range(13):
             for lam in enumerate_partitions(n):
                 for k in range(n + 1):
                     for mu in enumerate_partitions(k, inside=lam):
-                        outer, inner = _reduced(lam, mu)
-                        starts = [part(inner, r + 1) for r in range(len(outer))]
-                        assert skew_shape(outer, inner).size == n - k
-                        assert all(s < e for s, e in zip(starts, outer)), (lam, mu)
-                        cols = {c for s, e in zip(starts, outer) for c in range(s, e)}
-                        assert cols == set(range(part(outer, 1))), (lam, mu)
-                        want = _expand_fillings(lam, mu, (), False)
-                        assert _expand_fillings(outer, inner, (), False) == want, (lam, mu)
+                        cells = _cells(lam, mu)
+                        assert len(cells) == n - k, (lam, mu)
+                        # an empty column on the left adds nothing
+                        wider = [x + 1 for x in lam]
+                        shifted = [part(mu, r) + 1 for r in range(1, len(lam) + 1)]
+                        assert _cells(wider, shifted) == cells, (lam, mu)
+                        walk = _expand_fillings(lam, mu, (), False)
+                        assert walks.setdefault(cells, walk) == walk, (lam, mu)
                         pairs += 1
         assert pairs == 8855
+        # one list per skew shape without its empty rows and columns
+        assert len(walks) == 1526
 
     def test_named_cases(self):
         # no cells left
-        assert _reduced((3, 2), (3, 2)) == ((), ())
-        # an empty middle row: (4, 2, 2)/(2, 2, 1) keeps rows 1 and 3
-        assert _reduced((4, 2, 2), (2, 2, 1)) == ((3, 1), (1,))
+        assert _cells((3, 2), (3, 2)) == ()
+        # an empty middle row: (4, 2, 2)/(2, 2, 1) walks as (3, 1)/(1,)
+        assert _cells((4, 2, 2), (2, 2, 1)) == _cells((3, 1), (1,))
         # a gap between columns: column 2 of (5, 2)/(3,) is empty
-        assert _reduced((5, 2), (3,)) == ((4, 2), (2,))
+        assert _cells((5, 2), (3,)) == _cells((4, 2), (2,))
         # empty columns on the left: the inner shape ends in zeros
-        assert _reduced((3, 2, 2), (1, 1, 1)) == ((2, 1, 1), ())
-        assert _reduced((3, 1), (1, 0)) == ((3, 1), (1,))
-        # already reduced
-        assert _reduced((4, 3, 1), (2, 1)) == ((4, 3, 1), (2, 1))
+        assert _cells((3, 2, 2), (1, 1, 1)) == _cells((2, 1, 1), ())
+        assert _cells((3, 1), (1, 0)) == _cells((3, 1), (1,))
+        # no empty row or column: (above, right) per cell, rows read right
+        # to left, top row first
+        assert _cells((4, 3, 1), (2, 1)) == ((-1, -1), (-1, 0), (1, -1), (-1, 2), (-1, -1))
+        # cells in different columns are not the same shape
+        assert _cells((2, 1), ()) != _cells((3, 1), (1,))

@@ -126,11 +126,7 @@ def _cmd_kron(args):
     record["method"] = method
     if args.nu is None:
         return record, None, _terms(record, answer)
-    if args.method in ("auto", "theorem"):
-        upper = result.upper_bound
-    else:
-        upper = kron_upper_bound(p, *shapes)
-    record.update({"value": str(answer), "upper_bound": str(upper)})
+    record.update({"value": str(answer), "upper_bound": str(kron_upper_bound(p, *shapes))})
     return record, None, [f"{format_partition(shapes[1])} : {answer}"]
 
 

@@ -249,8 +249,8 @@ def tworow_target_coeff(n: int, p: int, lam: Partition, t: int) -> int:
     two window sums over the second row length l of alpha = (p-l,l).
     """
     lam = check_partition(lam, n)
-    if p < 1:
-        raise DomainError(f"need p >= 1, got p={p}")
+    if not 1 <= p <= n // 2:
+        raise DomainError(f"need 1 <= p <= n/2, got p={p}, n={n}")
     if not 0 <= t <= n // 2:
         raise DomainError(f"need 0 <= t <= n/2, got t={t}")
     if part(lam, 1) < 2 * p - 1:
@@ -298,8 +298,8 @@ def tworow_target_coeff(n: int, p: int, lam: Partition, t: int) -> int:
 
 def tworow_tworow_coeff(n: int, p: int, s: int, t: int) -> int:
     """Coefficient of s_{(n-t,t)} in s_{(n-p,p)} * s_{(n-s,s)}."""
-    if p < 1:
-        raise DomainError(f"need p >= 1, got p={p}")
+    if not 1 <= p <= n // 2:
+        raise DomainError(f"need 1 <= p <= n/2, got p={p}, n={n}")
     if not 0 <= s <= n // 2:
         raise DomainError(f"need 0 <= s <= n/2, got s={s}")
     if not 0 <= t <= n // 2:

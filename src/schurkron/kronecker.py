@@ -213,10 +213,10 @@ def _alpha_bound(lam: Partition, nu: Partition, p: int) -> tuple[int, int]:
 
 def kron_upper_bound(p: int, lam: Partition, nu: Partition) -> int:
     """Sum of Kronecker tableau counts over alpha |- p inside lam and nu;
-    an upper bound for g_{(n-p,p),lam,nu}, exact when lam_1 >= 2p-1.  Most
-    alpha are counted from walks of at most p cells (``_alpha_bound``)."""
-    lam, nu = check_tworow_args(sum(check_partition(lam)), p, lam, nu)
-    return _alpha_bound(lam, nu, p)[1]
+    an upper bound for g_{(n-p,p),lam,nu}, exact when lam_1 >= 2p-1: the
+    ``upper_bound`` of ``kron_coeff`` with n = |lam|."""
+    lam = check_partition(lam)
+    return kron_coeff(sum(lam), p, lam, nu).upper_bound
 
 
 RULE_MAX_CELLS = 500

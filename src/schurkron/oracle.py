@@ -180,28 +180,29 @@ took 0.08 s and 15 MiB at n = 16, 0.18 s and 19 MiB at n = 18, and 0.67 s
 and 30 MiB at n = 20 (peak RSS of the whole process)."""
 
 
-def _pack_columns(chi, fact: int) -> tuple[int, tuple[int, ...]]:
-    """(shift, columns): column j of chi packed as sum over i of
-    chi[i][j] 2^(shift i).  With m the largest |chi|, shift is
+def _pack_columns(columns, fact: int) -> tuple[int, tuple[int, ...]]:
+    """(shift, packed): each column of a square table packed as sum over i
+    of column[i] 2^(shift i).  With m the largest |entry|, shift is
     bitlen(fact m^3) + 2 rounded up to whole bytes, so a combination of
     columns whose digits all have |digit| <= fact m^3 reads back exactly as
     signed base-2^shift digits.  Each column is laid out in one pass as
     bytes, every entry offset by half a digit, and the offsets taken off."""
-    m = max(abs(x) for row in chi for x in row)
+    m = max(abs(x) for col in columns for x in col)
     width = ((fact * m**3).bit_length() + 9) // 8
     half = 1 << (8 * width - 1)
-    offset = int.from_bytes(half.to_bytes(width, "little") * len(chi), "little")
-    columns = []
-    for col in zip(*chi):
+    offset = int.from_bytes(half.to_bytes(width, "little") * len(columns), "little")
+    packed = []
+    for col in columns:
         raw = b"".join((x + half).to_bytes(width, "little") for x in col)
-        columns.append(int.from_bytes(raw, "little") - offset)
-    return 8 * width, tuple(columns)
+        packed.append(int.from_bytes(raw, "little") - offset)
+    return 8 * width, tuple(packed)
 
 
 @lru_cache(maxsize=4)
 def _char_table(n: int):
     """(partitions, centralizer orders, chi[i][j], index, shift, columns) for
-    S_n, descending lex; the packed columns come from ``_pack_columns``.
+    S_n, descending lex; the packed columns come from ``_pack_columns``, fed
+    the columns of chi as they are built.
     Refuses n > MAX_CHAR_N with DomainError before computing anything.
     Callers go through n in order, so a few cached tables suffice."""
     if n > MAX_CHAR_N:
@@ -219,7 +220,7 @@ def _char_table(n: int):
         columns.append([front.get(m, 0) for m in masks])
     chi = tuple(zip(*columns))
     index = {lam: i for i, lam in enumerate(parts)}
-    return (parts, zs, chi, index) + _pack_columns(chi, math.factorial(n))
+    return (parts, zs, chi, index) + _pack_columns(columns, math.factorial(n))
 
 
 def _character_quotient(s: int, fact: int, nu: Partition) -> int:
@@ -232,21 +233,29 @@ def _character_quotient(s: int, fact: int, nu: Partition) -> int:
     return g
 
 
+def _class_weights(lam: Partition, mu: Partition) -> tuple[int, tuple, list[int]]:
+    """(n!, ``_char_table(n)``, (n!/z_rho) chi^lam(rho) chi^mu(rho) for each
+    class rho): what the triple character sum multiplies chi^nu(rho) by.
+    Checks lam, then mu, then n."""
+    lam = check_partition(lam)
+    n = sum(lam)
+    mu = check_partition(mu, n)
+    table = _char_table(n)
+    _, zs, chi, index = table[:4]
+    fact = math.factorial(n)
+    weights = [(fact // z) * a * b for z, a, b in zip(zs, chi[index[lam]], chi[index[mu]])]
+    return fact, table, weights
+
+
 def oracle_character_kron(lam: Partition, mu: Partition) -> SchurExpansion:
     """Full expansion of s_lam * s_mu from the triple character sum: one
     multiply-add of a packed column per class, then the signed base-2^shift
     digits of the total are n! g_nu in the order of the partitions."""
-    lam = check_partition(lam)
-    n = sum(lam)
-    mu = check_partition(mu, n)
-    parts, zs, chi, index, shift, columns = _char_table(n)
-    fact = math.factorial(n)
-    row_l = chi[index[lam]]
-    row_m = chi[index[mu]]
+    fact, (parts, _, _, _, shift, columns), weights = _class_weights(lam, mu)
     total = 0
-    for z, a, b, column in zip(zs, row_l, row_m, columns):
-        if a and b:
-            total += (fact // z) * a * b * column
+    for weight, column in zip(weights, columns):
+        if weight:
+            total += weight * column
     base = 1 << shift
     mask, half = base - 1, base >> 1
     result: dict[Partition, int] = {}
@@ -268,17 +277,9 @@ def oracle_character_kron(lam: Partition, mu: Partition) -> SchurExpansion:
 
 def oracle_character_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Single Kronecker coefficient g_{lam,mu,nu} from the character sum."""
-    lam = check_partition(lam)
-    n = sum(lam)
-    mu, nu = check_partition(mu, n), check_partition(nu, n)
-    parts, zs, chi, index, _, _ = _char_table(n)
-    fact = math.factorial(n)
-    row_l = chi[index[lam]]
-    row_m = chi[index[mu]]
-    row_n = chi[index[nu]]
-    s = sum(
-        (fact // z) * a * b * c for z, a, b, c in zip(zs, row_l, row_m, row_n)
-    )
+    fact, (_, _, chi, index, _, _), weights = _class_weights(lam, mu)
+    nu = check_partition(nu, sum(lam))
+    s = sum(w * c for w, c in zip(weights, chi[index[nu]]))
     return _character_quotient(s, fact, nu)
 
 

@@ -89,11 +89,9 @@ def contains(inner: Partition, outer: Partition) -> bool:
 
 
 def intersect(lam: Partition, nu: Partition) -> Partition:
-    """Boxes common to both diagrams: componentwise minimum."""
-    common = tuple(min(a, b) for a, b in zip(lam, nu))
-    while common and common[-1] == 0:
-        common = common[:-1]
-    return common
+    """Boxes common to both diagrams: componentwise minimum, which has no
+    zero part since both shapes' parts are positive."""
+    return tuple(map(min, lam, nu))
 
 
 def lex_compare(lam: Partition, mu: Partition) -> int:

@@ -390,7 +390,7 @@ def count_ssyt_alpha_lattice(
     alpha = check_partition(alpha)
     counts = _normalize_counts(type_counts)
     if sum(counts) != shape.size:
-        raise ValueError(
+        raise DomainError(
             f"type weighs {sum(counts)}, shape has {shape.size} cells"
         )
     width = max(len(counts), len(alpha))

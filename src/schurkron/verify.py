@@ -45,17 +45,32 @@ def worker_count() -> int:
     return min(max(1, requested), cpus)
 
 
-def _run(fn: Callable, tasks: list) -> list:
+def _run(fn: Callable, tasks: list) -> tuple[int, list[str]]:
+    """(cases, mismatches): the tasks checked by fn, on a pool of
+    ``worker_count()`` processes when there are enough of both, and the
+    mismatch strings fn returned, in task order."""
+    results = map(fn, tasks)  # lazy: runs in this process unless a pool does
     workers = worker_count()
-    if workers <= 1 or len(tasks) < 4:
-        return [fn(t) for t in tasks]
-    try:
-        import multiprocessing
+    if workers > 1 and len(tasks) >= 4:
+        try:
+            import multiprocessing
 
-        with multiprocessing.Pool(workers) as pool:
-            return pool.map(fn, tasks, chunksize=max(1, len(tasks) // (8 * workers)))
-    except OSError:
-        return [fn(t) for t in tasks]
+            with multiprocessing.Pool(workers) as pool:
+                results = pool.map(fn, tasks, chunksize=max(1, len(tasks) // (8 * workers)))
+        except OSError:
+            pass
+    return len(tasks), [r for r in results if r]
+
+
+def _grid(nmax: int, pmax: int) -> list[tuple[int, int, Partition]]:
+    """Every (n, p, lam) with 1 <= n <= nmax, 0 <= p <= min(pmax, n/2) and
+    lam |- n, in that order."""
+    return [
+        (n, p, lam)
+        for n in range(1, nmax + 1)
+        for p in range(0, min(pmax, n // 2) + 1)
+        for lam in enumerate_partitions(n)
+    ]
 
 
 def _check_theorem_case(task: tuple[int, int, Partition]) -> str | None:
@@ -115,27 +130,13 @@ def _check_formula_case(task) -> str | None:
 
 def suite_theorem(nmax: int, pmax: int) -> tuple[int, list[str]]:
     """Tableau rule vs signed-sum oracle on the rule's domain."""
-    tasks = [
-        (n, p, lam)
-        for n in range(1, nmax + 1)
-        for p in range(0, min(pmax, n // 2) + 1)
-        for lam in enumerate_partitions(n)
-        if _route(p, lam)[0] != METHOD_ORACLE
-    ]
-    results = _run(_check_theorem_case, tasks)
-    return len(tasks), [r for r in results if r]
+    tasks = [(n, p, lam) for n, p, lam in _grid(nmax, pmax) if _route(p, lam)[0] != METHOD_ORACLE]
+    return _run(_check_theorem_case, tasks)
 
 
 def suite_oracles(nmax: int, pmax: int) -> tuple[int, list[str]]:
     """Signed-sum oracle vs character oracle, everywhere."""
-    tasks = [
-        (n, p, lam)
-        for n in range(1, nmax + 1)
-        for p in range(0, min(pmax, n // 2) + 1)
-        for lam in enumerate_partitions(n)
-    ]
-    results = _run(_check_oracle_case, tasks)
-    return len(tasks), [r for r in results if r]
+    return _run(_check_oracle_case, _grid(nmax, pmax))
 
 
 def suite_formulas(nmax: int, pmax: int) -> tuple[int, list[str]]:
@@ -168,8 +169,7 @@ def suite_formulas(nmax: int, pmax: int) -> tuple[int, list[str]]:
         for k in range(1, nmax + 1):
             if 6 <= m * k <= nmax and (k == 1 or m >= k):
                 tasks.append(("rectp2", (m, k)))
-    results = _run(_check_formula_case, tasks)
-    return len(tasks), [r for r in results if r]
+    return _run(_check_formula_case, tasks)
 
 
 SUITES = {

@@ -197,14 +197,14 @@ class TestRectP2:
         assert rect_p2_expand(6, 1).as_dict() == {(4, 2): 1}
 
     def test_matches_rule(self):
-        for m in range(2, 13):
-            for k in range(1, 7):
-                n = m * k
-                if not 6 <= n <= 12 or (k > 1 and m < k):
-                    continue
-                got = rect_p2_expand(m, k)
-                assert got.max_coefficient() == 1
-                assert got == kron_expand_tworow(n, 2, (m,) * k).expansion, (m, k)
+        small = [(m, k) for m in range(2, 13) for k in range(1, 7) if 6 <= m * k <= 12]
+        # the (m+1, m+1, m^(k-4), m-1, m-1) term needs k >= 4, so n >= 16
+        for m, k in small + [(4, 4), (5, 4), (6, 4), (5, 5), (6, 5)]:
+            if k > 1 and m < k:
+                continue
+            got = rect_p2_expand(m, k)
+            assert got.max_coefficient() == 1
+            assert got == kron_expand_tworow(m * k, 2, (m,) * k).expansion, (m, k)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -346,3 +346,30 @@ class TestNuDoublePair:
                         assert nu_double_pair_coeff(n, p, s, nu) == (
                             kron_coeff(n, p, (n - s, s), nu).value
                         ), (n, p, s, nu)
+
+
+# one bad argument per refusal of the closed formulas; 2p > n was answered 0
+# by tworow_target_coeff and tworow_tworow_coeff
+REFUSALS = {
+    "hook-s": (hook_coeff, (10, 2, 0, (10,)), "need 1 <= s <= n-1"),
+    "hook-p": (hook_coeff, (10, 0, 3, (7, 1, 1, 1)), "need p >= 1"),
+    "tworow-p": (tworow_target_coeff, (12, 0, (9, 3), 3), "need 1 <= p <= n/2"),
+    "tworow-2p>n": (tworow_target_coeff, (5, 3, (5,), 1), "need 1 <= p <= n/2"),
+    "tworow-t": (tworow_target_coeff, (12, 2, (9, 3), 7), "need 0 <= t <= n/2"),
+    "tworow2-p": (tworow_tworow_coeff, (12, 0, 3, 3), "need 1 <= p <= n/2"),
+    "tworow2-2p>n": (tworow_tworow_coeff, (5, 3, 0, 0), "need 1 <= p <= n/2"),
+    "tworow2-s": (tworow_tworow_coeff, (12, 2, 7, 3), "need 0 <= s <= n/2"),
+    "tworow2-t": (tworow_tworow_coeff, (12, 2, 3, 7), "need 0 <= t <= n/2"),
+    "tworow2-n-s": (tworow_tworow_coeff, (6, 3, 3, 3), "need n-s >= 2p-1"),
+    "seq-n-s": (tworow_tworow_sequence, (8, 3, 4), "need n-s >= 2p-1"),
+    "seq-n-p": (tworow_tworow_sequence, (10, 2, 6), "need n-p >= 2s-1"),
+    "nu334-s": (nu_double_pair_coeff, (10, 2, 0, (4, 2, 2, 2)), "need s >= 1"),
+    "nu334-2s>n": (nu_double_pair_coeff, (10, 2, 6, (4, 2, 2, 2)), "need 2p <= n and 2s <= n"),
+    "nu334-n-s": (nu_double_pair_coeff, (10, 4, 4, (4, 2, 2, 2)), "need n-s >= 2p-1"),
+}
+
+
+@pytest.mark.parametrize("fn, args, message", REFUSALS.values(), ids=REFUSALS)
+def test_formula_refusals(fn, args, message):
+    with pytest.raises(DomainError, match=message):
+        fn(*args)

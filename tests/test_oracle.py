@@ -306,7 +306,7 @@ class TestInvariantErrors:
         # S_2 with a made-up character table, packed as the real one is
         parts = ((2,), (1, 1))
         table = (parts, (2, 2), chi, {(2,): 0, (1, 1): 1})
-        table += oracle._pack_columns(chi, 2)
+        table += oracle._pack_columns(tuple(zip(*chi)), 2)
         monkeypatch.setattr(oracle, "_char_table", lambda n: table)
 
     @pytest.mark.parametrize(

@@ -124,6 +124,9 @@ class TestReadingWord:
         assert not is_ssyt(bad_col)
         for row in ((0, 1), (-1, 2)):
             assert not is_ssyt(Tableau(skew_shape((2,), ()), (row,)))
+        # rows that do not fit the shape: one missing, one too long
+        assert not is_ssyt(Tableau(skew_shape((2, 1), ()), ((1, 1),)))
+        assert not is_ssyt(Tableau(skew_shape((2, 1), ()), ((1, 1, 1), (2,))))
 
     @pytest.mark.parametrize("entry", [1.5, 1.0, "a", None])
     def test_is_ssyt_needs_integer_entries(self, entry):
@@ -167,6 +170,11 @@ class TestCountSsyt:
     def test_superstandard_unique(self):
         for lam in enumerate_partitions(6):
             assert count_ssyt_alpha_lattice(skew_shape(lam, ()), lam, ()) == 1
+
+    def test_wrong_type_size_is_a_domain_error(self):
+        # raised a bare ValueError; DomainError subclasses it
+        with pytest.raises(DomainError, match="type weighs 1, shape has 2 cells"):
+            count_ssyt_alpha_lattice(skew_shape((2,), ()), (1,), ())
 
     def test_shifted_count_against_brute_force(self):
         shape = skew_shape((4, 3), (2, 1))

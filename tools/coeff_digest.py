@@ -1,5 +1,5 @@
-"""Print one sha256 over every ``kron_coeff`` answer with n <= NMAX, and one
-over every full expansion.
+"""Print one sha256 over every ``kron_coeff`` answer with n <= NMAX, one
+over every full expansion, and one over both oracles' full expansions.
 
     python tools/coeff_digest.py [NMAX=12]
 
@@ -9,9 +9,13 @@ is asked in a fixed order, and each query with its answer
 is "<queries> <sha256>" (79457 queries at NMAX = 12).  Then every
 (n, p, lam) is expanded with ``kron_expand_tworow``, and each expansion with
 its method and its terms in descending lex order is hashed as one line; the
-second line printed is "<expansions> <sha256>".  Run it on two source trees:
-equal first lines mean every single coefficient is the same, and equal
-second lines mean every full expansion is.  The package is loaded from the
+second line printed is "<expansions> <sha256>".  Last, every (n, p, lam) is
+expanded by ``oracle_tworow_signed_sum`` and, for n <= MAX_CHAR_N, by
+``oracle_character_kron(two_row(n, p), lam)``, each hashed as one line with
+the oracle's name; the third line printed is "<expansions> <sha256>".  Run
+it on two source trees: equal first lines mean every single coefficient is
+the same, equal second lines mean every full expansion is, and equal third
+lines mean both oracles' expansions are.  The package is loaded from the
 ``src`` directory beside this script.
 """
 
@@ -24,6 +28,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from schurkron import enumerate_partitions, kron_coeff, kron_expand_tworow  # noqa: E402
+from schurkron.kronecker import two_row  # noqa: E402
+from schurkron.oracle import (  # noqa: E402
+    MAX_CHAR_N,
+    oracle_character_kron,
+    oracle_tworow_signed_sum,
+)
 
 
 def digest(nmax: int) -> tuple[int, str]:
@@ -55,12 +65,28 @@ def expansion_digest(nmax: int) -> tuple[int, str]:
     return expansions, sha.hexdigest()
 
 
+def oracle_digest(nmax: int) -> tuple[int, str]:
+    """(number of oracle expansions, sha256 hex digest) over every n <= nmax."""
+    sha = hashlib.sha256()
+    expansions = 0
+    for n in range(nmax + 1):
+        for p in range(n // 2 + 1):
+            for lam in enumerate_partitions(n):
+                oracles = [("signed", oracle_tworow_signed_sum(n, p, lam))]
+                if n <= MAX_CHAR_N:
+                    oracles.append(("character", oracle_character_kron(two_row(n, p), lam)))
+                for name, expansion in oracles:
+                    sha.update(f"{n} {p} {lam} {name} {expansion.items_desc()}\n".encode())
+                    expansions += 1
+    return expansions, sha.hexdigest()
+
+
 def main(argv: list[str]) -> int:
     if len(argv) > 1 or (argv and not argv[0].isdigit()):
         print("usage: python tools/coeff_digest.py [NMAX]", file=sys.stderr)
         return 2
     nmax = int(argv[0]) if argv else 12
-    for count, hexdigest in (digest(nmax), expansion_digest(nmax)):
+    for count, hexdigest in (digest(nmax), expansion_digest(nmax), oracle_digest(nmax)):
         print(f"{count} {hexdigest}")
     return 0
 

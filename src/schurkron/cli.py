@@ -151,6 +151,7 @@ def _cmd_positivity(args):
 def _cmd_mfree(args):
     if args.sweep:
         record, (n, p) = _read(args, ("n", "p"), command="mfree-sweep")
+        check_tworow_args(n, p)
         verdicts = [(lam, is_multiplicity_free(n, p, lam)) for lam in enumerate_partitions(n)]
         record["results"] = [
             {"lambda": list(lam), "multiplicity_free": v.multiplicity_free, "source": v.source}

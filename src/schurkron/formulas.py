@@ -110,6 +110,8 @@ def rect_p2_expand(m: int, k: int) -> SchurExpansion:
     fixed nine-term list, with the terms guarded by k >= 3, k >= 4 and
     m >= 4 dropped when the guard fails.  Every coefficient is 1.
     """
+    if m < 1 or k < 1:
+        raise DomainError(f"need m >= 1 and k >= 1, got m={m}, k={k}")
     n = m * k
     if n < 6:
         raise DomainError(f"need mk >= 6, got {m}*{k}={n}")

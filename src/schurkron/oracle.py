@@ -72,6 +72,8 @@ class CycleType(NamedTuple):
 
 
 def centralizer_order(rho: Partition) -> int:
+    """z_rho, the order of the centralizer of a permutation of cycle type rho."""
+    rho = check_partition(rho)
     z = 1
     for i, m in Counter(rho).items():
         z *= i**m * math.factorial(m)

@@ -7,10 +7,10 @@ so formulas never need explicit zero padding.
 This module is the one place that decides whether arguments are valid
 shapes and what form a checked shape takes: ``check_partition`` (a
 partition, optionally of a given size), ``skew_shape`` (two partitions, one
-inside the other) and ``check_tworow_args`` (partitions of n and
-0 <= 2p <= n) accept any sequence of ints and return the shapes they
-checked as tuples.  Every public function of the package that takes a
-partition calls one of them and computes on what it returns.  The
+inside the other) and ``check_tworow_args`` (partitions of n, for integers
+n and p with 0 <= 2p <= n) accept any sequence of ints and return the
+shapes they checked as tuples.  Every public function of the package that
+takes a partition calls one of them and computes on what it returns.  The
 primitives here (``part``, ``conjugate``, ``contains``, ``intersect``,
 ``lex_compare``, ``remove_box``, ``add_box``, ...) do not check: they run in
 inner loops on shapes that were checked at the boundary.
@@ -209,8 +209,12 @@ def skew_shape(outer: Sequence[int], inner: Sequence[int]) -> SkewShape:
 
 
 def check_tworow_args(n: int, p: int, *shapes: Sequence[int]) -> tuple[Partition, ...]:
-    """The shapes as checked partitions; DomainError unless 0 <= 2p <= n and
-    every shape is a partition of n."""
+    """The shapes as checked partitions; DomainError unless n and p are
+    integers, 0 <= 2p <= n and every shape is a partition of n."""
+    try:
+        operator.index(n), operator.index(p)
+    except TypeError:
+        raise DomainError(f"need integer n and p, got n={n!r}, p={p!r}") from None
     checked = tuple(check_partition(lam, n) for lam in shapes)
     if p < 0 or 2 * p > n:
         raise DomainError(f"need 0 <= 2p <= n, got p={p}, n={n}")

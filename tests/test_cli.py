@@ -339,6 +339,26 @@ MFREE_SWEEP_8_2 = (
 FREE_8_2 = {(8,), (7, 1), (4, 4), (2, 2, 2, 2), (2, 1, 1, 1, 1, 1, 1), (1,) * 8}
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # rect-p2 failed with a ValueError traceback (exit 1) on these two
+        (("formula", "rect-p2", "-1", "-6"), 3),
+        (("formula", "rect-p2", "-2", "-3"), 3),
+        # the sweep over no partitions of -3 exited 0 with an empty sweep
+        (("mfree", "--sweep", "-3", "1"), 3),
+        (("mfree", "--sweep", "0", "0"), 3),
+        (("mfree", "6", "2"), 2),
+    ],
+    ids=["rect-p2-negative", "rect-p2-negative-square", "sweep-negative-n", "sweep-zero", "mfree-no-lam"],
+)
+def test_refused_input_exit_code(argv, code, capsys):
+    capsys.readouterr()
+    assert main(list(argv)) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+
+
 class TestPinnedStdout:
     """Byte-exact stdout for the commands that bench/golden.json leaves out."""
 

@@ -366,6 +366,9 @@ REFUSALS = {
     "nu334-s": (nu_double_pair_coeff, (10, 2, 0, (4, 2, 2, 2)), "need s >= 1"),
     "nu334-2s>n": (nu_double_pair_coeff, (10, 2, 6, (4, 2, 2, 2)), "need 2p <= n and 2s <= n"),
     "nu334-n-s": (nu_double_pair_coeff, (10, 4, 4, (4, 2, 2, 2)), "need n-s >= 2p-1"),
+    # m*k >= 6 and m >= k both held for these, which failed inside SchurExpansion
+    "rect-p2-negative": (rect_p2_expand, (-1, -6), "need m >= 1 and k >= 1"),
+    "rect-p2-negative-square": (rect_p2_expand, (-2, -3), "need m >= 1 and k >= 1"),
 }
 
 

@@ -555,6 +555,23 @@ class TestNonPartitions:
         }
         assert {name: got for name, got in differ.items() if got[0] != got[1]} == {}
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: kron_coeff(10, 2.0, (5, 5), (5, 5)),
+            lambda: kron_coeff(10, "2", (5, 5), (5, 5)),
+            lambda: kron_expand_tworow(10.0, 2, (5, 5)),
+            lambda: oracle_tworow_signed_sum(10, 2.0, (5, 5)),
+        ],
+        ids=["kron_coeff-float-p", "kron_coeff-str-p", "expand-float-n", "signed-float-p"],
+    )
+    def test_non_integer_n_or_p(self, call):
+        # the float p raised TypeError inside the engine, the float n answered;
+        # the integer query is memoised first, so the refusal comes before the memo
+        kron_coeff(10, 2, (5, 5), (5, 5))
+        with pytest.raises(DomainError, match="need integer n and p"):
+            call()
+
     @pytest.mark.parametrize("n, p, lam", [(6, 2, [5, 1]), (20, 3, [10, 10]), (40, 4, [39, 1])])
     def test_multiplicity_free_on_list_shapes(self, n, p, lam):
         assert is_multiplicity_free(n, p, lam) == is_multiplicity_free(n, p, tuple(lam))

@@ -38,6 +38,13 @@ class TestCycleTypes:
         assert centralizer_order((1, 1, 1)) == 6
         assert centralizer_order((2, 1)) == 2
         assert centralizer_order((3,)) == 3
+        assert centralizer_order(()) == 1
+
+    @pytest.mark.parametrize("rho", [(1.5,), (0,), (-1,), ("a",)])
+    def test_centralizer_refuses_non_partitions(self, rho):
+        # these returned 1.5, 0 and -1, and raised TypeError
+        with pytest.raises(DomainError, match="not a partition"):
+            centralizer_order(rho)
 
 
 class TestMnCharacter:
@@ -88,6 +95,7 @@ class TestDimension:
         assert dimension((5,)) == 1
         assert dimension((2, 1)) == 2
         assert dimension((3, 2)) == 5
+        assert dimension(()) == 1
 
     def test_sum_of_squares(self):
         for n in range(1, 9):

@@ -112,6 +112,7 @@ class TestEnumerate:
 
     def test_empty(self):
         assert list(enumerate_partitions(0)) == [()]
+        assert list(enumerate_partitions(-1)) == []
 
     def test_max_length_and_part(self):
         got = list(enumerate_partitions(6, max_length=2, max_part=4))

@@ -92,6 +92,10 @@ class TestSkewTimesAlpha:
         glued = join(SkewShape(alpha, ()), SkewShape(lam, alpha))
         assert skew_expand(glued.outer, glued.inner) == direct
 
+    def test_join_with_an_empty_bottom_is_the_top(self):
+        assert join(SkewShape((3, 1), (1,)), SkewShape((), ())) == SkewShape((3, 1), (1,))
+        assert join(SkewShape((2,), ()), SkewShape((), ())) == SkewShape((2,), ())
+
     def test_matches_join_expansion_grid(self):
         for lam in enumerate_partitions(6):
             for asize in range(7):

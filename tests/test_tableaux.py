@@ -166,6 +166,7 @@ class TestCountSsyt:
     def test_lr_tableaux_example(self):
         shape = skew_shape((5, 4, 3), (2, 1))
         assert count_ssyt_alpha_lattice(shape, (4, 3, 2), ()) == 2
+        assert count_ssyt_alpha_lattice(shape, (4, 3, 2, 0, 0), ()) == 2
 
     def test_superstandard_unique(self):
         for lam in enumerate_partitions(6):

@@ -6,16 +6,17 @@ over every full expansion, and one over both oracles' full expansions.
 Every (n, p, lam, nu) with 0 <= n <= NMAX, 0 <= p <= n/2 and lam, nu |- n
 is asked in a fixed order, and each query with its answer
 (value, method, upper_bound) is hashed as one line.  The first line printed
-is "<queries> <sha256>" (79457 queries at NMAX = 12).  Then every
-(n, p, lam) is expanded with ``kron_expand_tworow``, and each expansion with
-its method and its terms in descending lex order is hashed as one line; the
-second line printed is "<expansions> <sha256>".  Last, every (n, p, lam) is
+is "<queries> <sha256>" (79457 queries at NMAX = 12).  Every (n, p, lam) is
+also expanded with ``kron_expand_tworow``, and each expansion with its
+method and its terms in descending lex order is hashed as one line; the
+second line printed is "<expansions> <sha256>".  And every (n, p, lam) is
 expanded by ``oracle_tworow_signed_sum`` and, for n <= MAX_CHAR_N, by
 ``oracle_character_kron(two_row(n, p), lam)``, each hashed as one line with
-the oracle's name; the third line printed is "<expansions> <sha256>".  Run
-it on two source trees: equal first lines mean every single coefficient is
-the same, equal second lines mean every full expansion is, and equal third
-lines mean both oracles' expansions are.  The package is loaded from the
+the oracle's name; the third line printed is "<expansions> <sha256>".  One
+walk over (n, p, lam) feeds all three hashes.  Run it on two source trees:
+equal first lines mean every single coefficient is the same, equal second
+lines mean every full expansion is, and equal third lines mean both
+oracles' expansions are.  The package is loaded from the
 ``src`` directory beside this script.
 """
 
@@ -36,49 +37,31 @@ from schurkron.oracle import (  # noqa: E402
 )
 
 
-def digest(nmax: int) -> tuple[int, str]:
-    """(number of queries, sha256 hex digest) over every n <= nmax."""
-    sha = hashlib.sha256()
-    queries = 0
+def digests(nmax: int) -> list[tuple[int, str]]:
+    """(lines hashed, sha256 hex digest) of the queries, of the expansions and
+    of the oracle expansions over every n <= nmax, from one walk over
+    (n, p, lam)."""
+    shas = [hashlib.sha256() for _ in range(3)]
+    counts = [0, 0, 0]
     for n in range(nmax + 1):
         shapes = list(enumerate_partitions(n))
         for p in range(n // 2 + 1):
             for lam in shapes:
-                for nu in shapes:
-                    result = tuple(kron_coeff(n, p, lam, nu))
-                    sha.update(f"{n} {p} {lam} {nu} {result}\n".encode())
-                    queries += 1
-    return queries, sha.hexdigest()
-
-
-def expansion_digest(nmax: int) -> tuple[int, str]:
-    """(number of expansions, sha256 hex digest) over every n <= nmax."""
-    sha = hashlib.sha256()
-    expansions = 0
-    for n in range(nmax + 1):
-        for p in range(n // 2 + 1):
-            for lam in enumerate_partitions(n):
+                queries = [f"{nu} {tuple(kron_coeff(n, p, lam, nu))}" for nu in shapes]
                 expansion, method = kron_expand_tworow(n, p, lam)
-                terms = expansion.items_desc()
-                sha.update(f"{n} {p} {lam} {method} {terms}\n".encode())
-                expansions += 1
-    return expansions, sha.hexdigest()
-
-
-def oracle_digest(nmax: int) -> tuple[int, str]:
-    """(number of oracle expansions, sha256 hex digest) over every n <= nmax."""
-    sha = hashlib.sha256()
-    expansions = 0
-    for n in range(nmax + 1):
-        for p in range(n // 2 + 1):
-            for lam in enumerate_partitions(n):
                 oracles = [("signed", oracle_tworow_signed_sum(n, p, lam))]
                 if n <= MAX_CHAR_N:
                     oracles.append(("character", oracle_character_kron(two_row(n, p), lam)))
-                for name, expansion in oracles:
-                    sha.update(f"{n} {p} {lam} {name} {expansion.items_desc()}\n".encode())
-                    expansions += 1
-    return expansions, sha.hexdigest()
+                blocks = (
+                    queries,
+                    [f"{method} {expansion.items_desc()}"],
+                    [f"{name} {result.items_desc()}" for name, result in oracles],
+                )
+                for i, block in enumerate(blocks):
+                    for line in block:
+                        shas[i].update(f"{n} {p} {lam} {line}\n".encode())
+                    counts[i] += len(block)
+    return [(count, sha.hexdigest()) for count, sha in zip(counts, shas)]
 
 
 def main(argv: list[str]) -> int:
@@ -86,7 +69,7 @@ def main(argv: list[str]) -> int:
         print("usage: python tools/coeff_digest.py [NMAX]", file=sys.stderr)
         return 2
     nmax = int(argv[0]) if argv else 12
-    for count, hexdigest in (digest(nmax), expansion_digest(nmax), oracle_digest(nmax)):
+    for count, hexdigest in digests(nmax):
         print(f"{count} {hexdigest}")
     return 0
 

@@ -43,8 +43,8 @@ it: the first layer reaches its states with weight 1, and a layer filled
 from a state of weight w adds w to each state or bucket it reaches, so
 every bucket still counts each tableau once.  A state costs a key, and a
 layer of one or two cells rarely saves what its states cost; so each layer
-below a cut holds at least 3 cells, counted down to the next cut or to the
-end, and each cut has a cell above it.
+below a cut holds at least 3 cells (``LAYER_CELLS``), counted down to the
+next cut or to the end, and each cut has a cell above it.
 
 The last cell is settled in one loop: the walk adds the weight to the bucket
 of each allowed value in turn, the profile with that value placed.  The last
@@ -58,15 +58,32 @@ with no cut and no last-cell loop.  A capped walk stops at the first bucket
 to reach the cap, which depends on the visiting order, so it has no cut: it
 visits every tableau one by one, and the last-cell loop adds one to each
 bucket in that same order.
+
+A full expansion of the Kronecker rule walks lam/alpha for every alpha |- p
+inside lam, and ``_fill_alphas`` merges states across alpha too: below the
+rows of alpha, the walks of lam/alpha share their layers.  Take a cut at a
+row start below every row of some alphas, at or below row 3, so that the
+check has run, and key each state by the row above over all of the next
+row's columns, a column inside alpha given the value 0.  The states of
+those alphas at the cut may then be added into one dict and walked on once
+as states of lam/(), for three reasons.  Every cell list of lam/alpha has
+|lam| - p cells, so the cells below the cut have the same indices for
+every alpha, and the same cuts.  A cell under a column of alpha has floor
+0 both ways: no cell above it in lam/alpha, a 0 above it in lam/().  And
+each completion below the cut, and the bucket nu it reaches, depend only on
+the key, whose profile carries alpha.  A capped walk keeps its order, so a
+capped expansion walks alpha by alpha.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 from typing import Iterable, NamedTuple, Sequence
 
 from .partitions import (
     DomainError,
+    InvariantError,
     Partition,
     SkewShape,
     check_partition,
@@ -203,6 +220,12 @@ def _kron_setup(outer: Partition, inner: Partition, alpha: Partition, kron: bool
     return row1 + part(outer, 2) - part(inner, 2), slot2, a1 - a2, row1
 
 
+LAYER_CELLS = 3
+"""Fewest cells in a layer below a cut, counted down to the next cut or to
+the end: a state costs a key, and a layer of one or two cells rarely saves
+what its states cost.  ``_fill`` and ``_joins`` cut by this one rule."""
+
+
 class CapReached(Exception):
     """Raised by _expand_fillings when a bucket hits the requested cap."""
 
@@ -218,7 +241,9 @@ def _fill(
     target: Partition | None = None,
     out: dict | None = None,
     cap: int | None = None,
-) -> dict[Partition, int]:
+    start: tuple[int, dict] | None = None,
+    stop: int = -1,
+) -> dict:
     """The fill engine: accumulate {type + alpha: count} into ``out`` over
     the alpha-lattice SSYT of the shape whose cell list is ``cells``
     (Kronecker tableaux only under a ``_kron_setup`` check), only of type
@@ -231,7 +256,27 @@ def _fill(
     state of the one above, the row above's values and the profile, and
     walks from it with its weight, recording the next layer's states, until
     the bottom layer ends at the last cell, whose allowed values go straight
-    to the buckets.  Without a cut the first layer is the whole walk."""
+    to the buckets.  Without a cut the first layer is the whole walk.
+
+    Two more arguments let one walk run over part of its layers, for the
+    merge across alpha of ``_fill_alphas``.  With ``stop``, the index of a
+    cut, the walk ends there and adds its states into ``out``: each key
+    then reads the row above over all of the next row's columns, a column
+    with no cell above (inside alpha) given the value 0.  With ``start`` =
+    (k, {state: weight}), k a cut, the walk skips its layers above k and
+    walks on from those states, which must have passed the Kronecker check
+    (it runs at or above every cut).  The states of different alpha may be added
+    into one dict at a cut below every row of each alpha, at or below row 3;
+    a walk of outer/() started from that dict gives the sum of their walks.
+    Each cell list of outer/alpha has |outer| - |alpha| cells, so below the
+    rows of alpha every list has the same cells at the same indices, which
+    are those of outer/() less |alpha|, and the same cuts there.  A cell
+    under a column of alpha has floor 0 in the walk of outer/alpha (no cell
+    above) and in the walk of outer/() (a 0 above).  And how the cells below
+    the cut can be filled, and which bucket each filling reaches, depend on
+    the key alone: the profile carries alpha, and the limit is out of reach
+    in expand mode.  So each alpha's states reach the same buckets with the
+    same weights as in its own walk."""
     ncells = len(cells)
     profile = [ncells + sum(alpha) + 1, *alpha] + [0] * (ncells + 1)
     # profile[v] must stay below limit[v]: target_v, or out of reach
@@ -246,19 +291,29 @@ def _fill(
     # check runs at the leaf
     last = ncells - 1 if ncells and check_at < ncells else ncells
     # (end, lo) of each layer, the lowest first: a layer ends at a row start
-    # at or after the check, with >= 3 cells after it before the next cut or
-    # the end; its states read vals[lo:end], the row above over the next
-    # row's columns: as inner is a partition, these are that row's last cells
+    # at or after the check, with at least LAYER_CELLS cells after it before
+    # the next cut or the end; its states read vals[lo:end], the row above
+    # over the next row's columns: as inner is a partition, these are that
+    # row's last cells
     cuts = [(last, last)]
     if cap is None:
         below = ncells
-        for k in range(ncells - 1, max(check_at, 1) - 1, -1):
-            above, right = cells[k]
-            if below - k >= 3 and right < 0:
+        for k in range(ncells - LAYER_CELLS, max(check_at, 1) - 1, -1):
+            if below - k >= LAYER_CELLS and cells[k][1] < 0:
+                above = cells[k][0]
                 cuts.append((k, above if above >= 0 else k))
                 below = k
-    end, lo = cuts.pop()
-    states: dict[tuple, int] = {}
+    # the zeros that end each key: none, but at the stop one per column of
+    # the row below with no cell above
+    pad = end_pad = ()
+    if stop >= 0:
+        # end at the stop: drop the cuts below it; its keys read
+        # vals[lo:stop], and the row below starts at the stop
+        cuts = [cut for cut in cuts if cut[0] <= stop]
+        if not cuts or cuts[0][0] != stop:
+            raise InvariantError(f"no cut before cell {stop}")
+        row_end = next((j for j in range(stop + 1, ncells) if cells[j][1] < 0), ncells)
+        end_pad = (0,) * (row_end - stop - (stop - cuts[0][1]))
     his = [0] * ncells  # the largest value cell k may take
     vmaxs = [0] * ncells  # vmax on entry to cell k
 
@@ -277,7 +332,7 @@ def _fill(
             elif k == end:
                 v = hi = 0
                 if k < last:
-                    key = (tuple(vals[lo:k]), tuple(profile[1 : vmax + 1]))
+                    key = (tuple(vals[lo:k]) + pad, tuple(profile[1 : vmax + 1]))
                     states[key] = states.get(key, 0) + weight
                 elif k < ncells:
                     above, right = cells[k]
@@ -329,17 +384,109 @@ def _fill(
                 vmax = v
             k += 1
 
-    walk(0, end, len(alpha), 1)
-    check_at = -1
-    width = len(profile) - 1
-    while end < last:
-        start, above_lo, layer, states = end, lo, states, {}
+    if start is None:
         end, lo = cuts.pop()
+        if cuts:
+            states = {}
+        else:
+            states, pad = buckets, end_pad
+        walk(0, end, len(alpha), 1)
+        check_at = -1  # run once, in the first layer
+    else:
+        (end, states), check_at = start, -1  # a cut's states have passed the check
+        while cuts[-1][0] < end:
+            cuts.pop()
+        at, lo = cuts.pop()
+        if at != end:
+            raise InvariantError(f"no cut before cell {end}")
+    width = len(profile) - 1
+    while cuts:
+        at, at_lo, layer = end, lo, states
+        end, lo = cuts.pop()
+        if cuts:
+            states = {}
+        else:
+            states, pad = buckets, end_pad
         for (above_vals, prof), weight in layer.items():
-            vals[above_lo:start] = above_vals
+            vals[at_lo:at] = above_vals
             profile[1:] = prof + (0,) * (width - len(prof))
-            walk(start, end, len(prof), weight)
+            walk(at, end, len(prof), weight)
     return buckets
+
+
+def _joins(
+    outer: Partition, alphas: list[Partition]
+) -> tuple[list[Partition], dict[int, list[Partition]]]:
+    """(alone, joins) for ``_fill_alphas``: the alphas that walk alone, and
+    {cut: the alphas that join the walk of outer/() there}, cuts as cell
+    indices of outer/().
+
+    A shared cut is a cut of the walk of outer/() at a row start at or
+    below row 3; ``_fill`` finds its cuts bottom-up from the row lengths,
+    so every walk of outer/alpha makes the same cuts in its rows below
+    alpha.  Each alpha arrives at its first shared cut below its rows.  At
+    a cut two alphas rarely share a state, as their profiles differ by the
+    alphas; the states carried through a shared layer meet far more often.
+    So the walk of outer/() begins where a second alpha arrives, if another
+    alpha arrives lower down, and not at all otherwise; the alphas arriving
+    above the beginning join there.  This needs three alphas and two shared
+    cuts, so rows 3 and 4."""
+    if len(alphas) < 3 or len(outer) < 4:
+        return alphas, {}
+    row_start = list(itertools.accumulate(outer, initial=0))
+    # the shared cuts, the highest first, by ``_fill``'s rule: bottom-up, a
+    # row start with at least LAYER_CELLS cells after it before the next cut
+    # or the end
+    shared, below = [], row_start[-1]
+    for k in reversed(row_start[2:-1]):
+        if below - k >= LAYER_CELLS:
+            shared.insert(0, k)
+            below = k
+    if len(shared) < 2:
+        return alphas, {}
+    arrivals = {}
+    for alpha in alphas:
+        top = row_start[max(len(alpha), 2)]
+        for k in shared:
+            if k >= top:
+                arrivals[alpha] = k
+                break
+    order = sorted(arrivals.values())
+    if len(order) < 3 or order[1] == order[-1]:
+        return alphas, {}
+    joins: dict[int, list[Partition]] = {}
+    for alpha, k in arrivals.items():
+        joins.setdefault(max(k, order[1]), []).append(alpha)
+    return [alpha for alpha in alphas if alpha not in arrivals], joins
+
+
+def _fill_alphas(outer: Partition, alphas: Iterable[Partition], out: dict) -> dict:
+    """Accumulate {nu: count} into ``out`` over the Kronecker tableaux of
+    outer/alpha, of type nu - alpha, for every alpha in alphas (each inside
+    outer, all of one size): the rule's full expansion, with fill states
+    merged across alpha below the rows of alpha (see ``_fill``).
+
+    Each alpha that joins (``_joins``) walks its own layers down to its join
+    and adds its states into the live dict there; one walk of outer/()
+    carries the live dict from each join to the next, where it becomes the
+    next live dict, and from the last one on to the buckets.  The other
+    alphas walk alone.  The merge does not keep the rule's visiting order,
+    so a capped walk goes alpha by alpha instead."""
+    alone, joins = _joins(outer, list(alphas))
+    for alpha in alone:
+        _fill(_cells(outer, alpha), alpha, _kron_setup(outer, alpha, alpha, True), out=out)
+    if not joins:
+        return out
+    full = _cells(outer, ())
+    live, at = {}, None
+    for k in sorted(joins):
+        if at is not None:
+            live = _fill(full, (), start=(at, live), stop=k, out={})
+        for alpha in joins[k]:
+            check = _kron_setup(outer, alpha, alpha, True)
+            _fill(_cells(outer, alpha), alpha, check, out=live, stop=k - sum(alpha))
+        at = k
+    return _fill(full, (), start=(at, live), out=out)
 
 
 def _count_fillings(

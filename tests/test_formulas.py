@@ -369,6 +369,15 @@ REFUSALS = {
     # m*k >= 6 and m >= k both held for these, which failed inside SchurExpansion
     "rect-p2-negative": (rect_p2_expand, (-1, -6), "need m >= 1 and k >= 1"),
     "rect-p2-negative-square": (rect_p2_expand, (-2, -3), "need m >= 1 and k >= 1"),
+    # a scalar that is not an integer was answered as one, or failed inside
+    # the formula with a TypeError
+    "hook-float-p": (hook_coeff, (10, 2.5, 3, (7, 1, 1, 1)), "n, p and s must be integers"),
+    "tworow-float-p": (tworow_target_coeff, (10, 2.0, (6, 4), 2), "n, p and t must be integers"),
+    "tworow-str-t": (tworow_target_coeff, (10, 2, (6, 4), "2"), "n, p and t must be integers"),
+    "tworow2-float-s": (tworow_tworow_coeff, (12, 2, 3.0, 3), "n, p, s and t must be integers"),
+    "seq-float-n": (tworow_tworow_sequence, (10.0, 2, 4), "n, p and s must be integers"),
+    "nu334-float-n": (nu_double_pair_coeff, (10.0, 2, 3, (4, 2, 2, 2)), "n, p and s must be integers"),
+    "rect-p2-float-m": (rect_p2_expand, (3.0, 2), "m and k must be integers"),
 }
 
 

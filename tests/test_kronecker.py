@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from schurkron import (
@@ -48,7 +48,7 @@ from schurkron import (
 )
 from schurkron import InvariantError, clear_caches, kronecker, oracle
 from schurkron.kronecker import _alpha_bound, _route, _rule_coeff, _tableau_sum, two_row
-from schurkron.tableaux import _count_fillings, _expand_fillings
+from schurkron.tableaux import _count_fillings, _expand_fillings, _fill_alphas, _joins
 
 
 class TestKroneckerTableauCount:
@@ -207,6 +207,20 @@ class TestKronExpand:
         total = sum(c * dimension(nu) for nu, c in terms.items())
         assert total == dimension((30, 6)) * dimension(lam)
 
+    def test_ladder_rung_n40(self):
+        # the heaviest rung of the expansion ladder: 13 alphas, 11 of which
+        # join the walk below their rows, at 3 cuts
+        lam = (13, 10, 8, 6, 3)
+        result = kron_expand_tworow(40, 7, lam)
+        assert result.method == METHOD_ROWS
+        terms = result.expansion.as_dict()
+        assert len(terms) == 5920
+        assert sum(terms.values()) == 2613506
+        total = sum(c * dimension(nu) for nu, c in terms.items())
+        assert total == dimension((33, 7)) * dimension(lam)
+        alone, joins = _joins(lam, list(enumerate_partitions(7, inside=lam)))
+        assert (len(alone), sorted(map(len, joins.values()))) == (2, [3, 4, 4])
+
     def test_deep_tall_expansion_is_the_wide_one_conjugated(self):
         # the signed sum walks (700, 700) for the 700-row lam too
         tall = kron_expand_tworow(1400, 20, (2,) * 700)
@@ -215,6 +229,80 @@ class TestKronExpand:
         assert tall.expansion.as_dict() == {
             conjugate(nu): c for nu, c in wide.expansion.items_desc()
         }
+
+
+def _per_alpha(work, p):
+    """The rule's buckets on work, walked alpha by alpha: no state is merged
+    across alpha."""
+    buckets = {}
+    for alpha in enumerate_partitions(p, inside=work):
+        _expand_fillings(work, alpha, alpha, kron=True, out=buckets)
+    return buckets
+
+
+def _merges_across_alpha(work, p):
+    return bool(_joins(work, list(enumerate_partitions(p, inside=work)))[1])
+
+
+def _assert_expansion_is_the_per_alpha_sum(n, p, lam):
+    method, work = _route(p, lam)
+    want = _per_alpha(work, p)
+    if method == METHOD_CONJUGATE:
+        want = {conjugate(nu): c for nu, c in want.items()}
+    got = kron_expand_tworow(n, p, lam)
+    assert got.method == method
+    assert got.expansion.as_dict() == want, (n, p, lam)
+
+
+class TestMergeAcrossAlpha:
+    """A full expansion by the rule merges fill states across alpha below
+    the rows of alpha (``tableaux._fill_alphas``); ``_expand_fillings``
+    walks each alpha alone and is the reference.  Both merge within each
+    walk alike, which TestMerge in test_tableaux checks against no merge."""
+
+    def test_expansion_is_the_per_alpha_sum_small(self):
+        cases, merged = {METHOD_ROWS: 0, METHOD_CONJUGATE: 0}, 0
+        for n in range(13):
+            for lam in enumerate_partitions(n):
+                for p in range(n // 2 + 1):
+                    method, work = _route(p, lam)
+                    if method != METHOD_ORACLE:
+                        _assert_expansion_is_the_per_alpha_sum(n, p, lam)
+                        cases[method] += 1
+                        merged += _merges_across_alpha(work, p)
+        assert cases == {METHOD_ROWS: 939, METHOD_CONJUGATE: 192}
+        assert merged == 1
+
+    def test_merged_walk_is_the_per_alpha_sum_on_every_small_shape(self):
+        # the engine on any shape, off the rule's routes too
+        merged = 0
+        for n in range(13):
+            for lam in enumerate_partitions(n):
+                for p in range(7):
+                    alphas = list(enumerate_partitions(p, inside=lam))
+                    assert _fill_alphas(lam, alphas, {}) == _per_alpha(lam, p), (lam, p)
+                    merged += _merges_across_alpha(lam, p)
+        assert merged == 42
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_expansion_is_the_per_alpha_sum_random(self, data):
+        # 4 to 7 rows and at most 24 cells, drawn from the bottom row up
+        rows = data.draw(st.integers(4, 7))
+        left, parts = 24, []
+        for r in range(rows):
+            low = parts[-1] if parts else 1
+            parts.append(data.draw(st.integers(low, left // (rows - r))))
+            left -= parts[-1]
+        lam = tuple(reversed(parts))
+        n = sum(lam)
+        merging = [
+            p
+            for p in range(n // 2 + 1)
+            if _route(p, lam)[0] != METHOD_ORACLE and _merges_across_alpha(_route(p, lam)[1], p)
+        ]
+        assume(merging)
+        _assert_expansion_is_the_per_alpha_sum(n, data.draw(st.sampled_from(merging)), lam)
 
 
 class TestKronCoeff:

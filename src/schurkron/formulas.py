@@ -20,6 +20,7 @@ from .partitions import (
     addable_rows,
     add_box,
     check_partition,
+    check_tworow_args,
     part,
     removable_rows,
     remove_box,
@@ -85,8 +86,8 @@ def is_multiplicity_free(n: int, p: int, lam: Partition) -> MfreeVerdict:
     depth limit, see ``kron_expand_tworow``), it is the lex-largest nu with
     coefficient at least 2.
     """
-    lam = check_partition(lam, n)
-    if p < 1 or 2 * p > n:
+    (lam,) = check_tworow_args(n, p, lam)
+    if p < 1:
         raise DomainError(f"need 1 <= p <= n/2, got p={p}, n={n}")
     if p == 1:
         # free iff lam has at most two distinct part sizes

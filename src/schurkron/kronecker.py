@@ -15,15 +15,14 @@ The full expansion runs the rule, whose walk of lam/alpha has n - p cells;
 above RULE_MAX_CELLS of them it takes the signed sum instead, whose walks
 have at most p cells and which is then the faster of the two.  Both
 engines run at any depth; the choice is one of speed only.  ``_expand``
-makes that choice, for the full
-expansion and for the capped one behind ``is_multiplicity_free``.  The
-rule's full expansion hands its alpha-loop to ``tableaux._fill_alphas``,
-which walks the rows below alpha once for the alphas that share them; the
-capped one walks alpha by alpha, in the rule's visiting order.  A single
-coefficient comes from one table per query on every route: ``_alpha_bound``
-walks lam/mu and nu/mu, at most p cells each, for the mu of the signed
-sum's two levels, and reads both the value and the bound from the L_alpha
-those walks give.  A walk reads nothing but its shape's cell list
+makes that choice, for the full expansion and for the capped one behind
+``is_multiplicity_free``.  The rule's expansions, capped or not, hand their
+alpha-loop to ``tableaux._fill_alphas``: uncapped, it walks the rows below
+alpha once for the alphas that share them; capped, it walks alpha by alpha,
+in the rule's visiting order.  A single coefficient comes from one table
+per query on every route: ``_alpha_bound`` walks lam/mu and nu/mu, at most
+p cells each, for the mu of the signed sum's two levels, and reads both the
+value and the bound from the L_alpha those walks give.  A walk reads nothing but its shape's cell list
 (``tableaux._cells``), so each distinct list is walked once per query, over
 both levels and both sides.  For one nu that is far less work than the
 rule, and the walks do not deepen with n.  The method tag still names the
@@ -53,7 +52,7 @@ from .partitions import (
     part,
     remove_box,
 )
-from .tableaux import CapReached, _cells, _count_fillings, _expand_fillings, _fill, _fill_alphas
+from .tableaux import CapReached, _cells, _count_fillings, _fill, _fill_alphas
 
 METHOD_ROWS = "tableau_rule"
 METHOD_CONJUGATE = "tableau_rule_conjugate"
@@ -247,14 +246,14 @@ def _expand(n: int, p: int, lam: Partition, cap: int | None = None) -> KronExpan
     """``kron_expand_tworow`` on a checked lam: the one place that chooses
     between the tableau rule and the signed sum.
 
-    Without a cap, the rule's alpha |- p inside the shape go to
-    ``tableaux._fill_alphas`` together, which merges their fill states
-    below their rows.  With a cap, raise CapReached(nu) for the first nu
-    whose coefficient reaches it, nu in lam's orientation.  On the rule's
-    routes, when it walks, that is the first bucket to reach the cap in the
-    rule's visiting order (alpha in descending lex order, each by its own
-    ``_expand_fillings`` walk, fillings in reverse reading order); from the
-    signed sum it is the lex-largest nu with a coefficient of at least cap.
+    The rule's alpha |- p inside the shape go to ``tableaux._fill_alphas``
+    together, which merges their fill states below their rows unless there
+    is a cap.  With a cap, raise CapReached(nu) for the first nu whose
+    coefficient reaches it, nu in lam's orientation.  On the rule's routes,
+    when it walks, that is the first bucket to reach the cap in the rule's
+    visiting order (alpha in descending lex order, each walked alone,
+    fillings in reverse reading order); from the signed sum it is the
+    lex-largest nu with a coefficient of at least cap.
     """
     method, work = _route(p, lam)
     if method == METHOD_ORACLE or n - p > RULE_MAX_CELLS:
@@ -265,17 +264,12 @@ def _expand(n: int, p: int, lam: Partition, cap: int | None = None) -> KronExpan
                     raise CapReached(nu)
         return KronExpansion(expansion, method)
     buckets: dict[Partition, int] = {}
-    alphas = enumerate_partitions(p, inside=work)
-    if cap is None:
-        _fill_alphas(work, alphas, buckets)
-    else:
-        try:
-            for alpha in alphas:
-                _expand_fillings(work, alpha, alpha, kron=True, out=buckets, cap=cap)
-        except CapReached as hit:
-            if method == METHOD_CONJUGATE:
-                raise CapReached(conjugate(hit.nu)) from None
-            raise
+    try:
+        _fill_alphas(work, enumerate_partitions(p, inside=work), buckets, cap)
+    except CapReached as hit:
+        if method == METHOD_CONJUGATE:
+            raise CapReached(conjugate(hit.nu)) from None
+        raise
     if method == METHOD_CONJUGATE:
         buckets = {conjugate(nu): c for nu, c in buckets.items()}
     return KronExpansion(SchurExpansion(buckets), method)

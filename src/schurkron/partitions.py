@@ -110,11 +110,21 @@ def enumerate_partitions(
     max_part: int | None = None,
     inside: Partition | None = None,
 ) -> Iterator[Partition]:
-    """All partitions of n meeting the constraints, in descending lex order.
+    """All partitions of n meeting the constraints, in descending lex order;
+    DomainError unless n, and max_length and max_part when given, are
+    integers.
 
     A depth-first walk on an explicit stack: ``parts`` is the prefix chosen
     so far and ``nxt[d]`` the next candidate for part d + 1, so the number
     of parts is not limited by the recursion limit."""
+    try:
+        n, max_length, max_part = (
+            x if x is None else operator.index(x) for x in (n, max_length, max_part)
+        )
+    except TypeError:
+        raise DomainError(
+            f"need integer n, max_length and max_part, got {n!r}, {max_length!r}, {max_part!r}"
+        ) from None
     if n < 0:
         return
     if n == 0:

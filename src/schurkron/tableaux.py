@@ -59,14 +59,16 @@ to reach the cap, which depends on the visiting order, so it has no cut: it
 visits every tableau one by one, and the last-cell loop adds one to each
 bucket in that same order.
 
-A full expansion of the Kronecker rule walks lam/alpha for every alpha |- p
-inside lam, and ``_fill_alphas`` merges states across alpha too: below the
-rows of alpha, the walks of lam/alpha share their layers.  Take a cut at a
-row start below every row of some alphas, at or below row 3, so that the
-check has run, and key each state by the row above over all of the next
-row's columns, a column inside alpha given the value 0.  The states of
-those alphas at the cut may then be added into one dict and walked on once
-as states of lam/(), for three reasons.  Every cell list of lam/alpha has
+An expansion of the Kronecker rule walks lam/alpha for every alpha |- p
+inside lam, and ``_fill_alphas`` is its one alpha-loop.  Uncapped, it
+merges states across alpha too: below the rows of alpha, the walks of
+lam/alpha share their layers.  Take a cut at a row start below every row
+of some alphas, at or below row 3, so that the check has run; a walk of
+lam/alpha stopped there keys each state by the row above over the next
+row's columns that have a cell above, and ``_fill_alphas`` gives each key
+a 0 for every other column, those inside alpha.  The states of those
+alphas at the cut may then be added into one dict and walked on once as
+states of lam/(), for three reasons.  Every cell list of lam/alpha has
 |lam| - p cells, so the cells below the cut have the same indices for
 every alpha, and the same cuts.  A cell under a column of alpha has floor
 0 both ways: no cell above it in lam/alpha, a 0 above it in lam/().  And
@@ -77,7 +79,6 @@ capped expansion walks alpha by alpha.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from typing import Iterable, NamedTuple, Sequence
 
@@ -227,7 +228,7 @@ what its states cost.  ``_fill`` and ``_joins`` cut by this one rule."""
 
 
 class CapReached(Exception):
-    """Raised by _expand_fillings when a bucket hits the requested cap."""
+    """Raised by ``_fill`` when a bucket hits the requested cap."""
 
     def __init__(self, nu: Partition):
         super().__init__(nu)
@@ -258,25 +259,12 @@ def _fill(
     the bottom layer ends at the last cell, whose allowed values go straight
     to the buckets.  Without a cut the first layer is the whole walk.
 
-    Two more arguments let one walk run over part of its layers, for the
-    merge across alpha of ``_fill_alphas``.  With ``stop``, the index of a
-    cut, the walk ends there and adds its states into ``out``: each key
-    then reads the row above over all of the next row's columns, a column
-    with no cell above (inside alpha) given the value 0.  With ``start`` =
+    Two more arguments let one walk run over part of its layers.  With
+    ``stop``, the index of a cut, the walk ends there and adds that cut's
+    states into ``out``, keyed as at any other cut.  With ``start`` =
     (k, {state: weight}), k a cut, the walk skips its layers above k and
     walks on from those states, which must have passed the Kronecker check
-    (it runs at or above every cut).  The states of different alpha may be added
-    into one dict at a cut below every row of each alpha, at or below row 3;
-    a walk of outer/() started from that dict gives the sum of their walks.
-    Each cell list of outer/alpha has |outer| - |alpha| cells, so below the
-    rows of alpha every list has the same cells at the same indices, which
-    are those of outer/() less |alpha|, and the same cuts there.  A cell
-    under a column of alpha has floor 0 in the walk of outer/alpha (no cell
-    above) and in the walk of outer/() (a 0 above).  And how the cells below
-    the cut can be filled, and which bucket each filling reaches, depend on
-    the key alone: the profile carries alpha, and the limit is out of reach
-    in expand mode.  So each alpha's states reach the same buckets with the
-    same weights as in its own walk."""
+    (it runs at or above every cut)."""
     ncells = len(cells)
     profile = [ncells + sum(alpha) + 1, *alpha] + [0] * (ncells + 1)
     # profile[v] must stay below limit[v]: target_v, or out of reach
@@ -303,17 +291,10 @@ def _fill(
                 above = cells[k][0]
                 cuts.append((k, above if above >= 0 else k))
                 below = k
-    # the zeros that end each key: none, but at the stop one per column of
-    # the row below with no cell above
-    pad = end_pad = ()
-    if stop >= 0:
-        # end at the stop: drop the cuts below it; its keys read
-        # vals[lo:stop], and the row below starts at the stop
+    if stop >= 0:  # end at the stop: drop the cuts below it
         cuts = [cut for cut in cuts if cut[0] <= stop]
         if not cuts or cuts[0][0] != stop:
             raise InvariantError(f"no cut before cell {stop}")
-        row_end = next((j for j in range(stop + 1, ncells) if cells[j][1] < 0), ncells)
-        end_pad = (0,) * (row_end - stop - (stop - cuts[0][1]))
     his = [0] * ncells  # the largest value cell k may take
     vmaxs = [0] * ncells  # vmax on entry to cell k
 
@@ -332,7 +313,7 @@ def _fill(
             elif k == end:
                 v = hi = 0
                 if k < last:
-                    key = (tuple(vals[lo:k]) + pad, tuple(profile[1 : vmax + 1]))
+                    key = (tuple(vals[lo:k]), tuple(profile[1 : vmax + 1]))
                     states[key] = states.get(key, 0) + weight
                 elif k < ncells:
                     above, right = cells[k]
@@ -386,27 +367,21 @@ def _fill(
 
     if start is None:
         end, lo = cuts.pop()
-        if cuts:
-            states = {}
-        else:
-            states, pad = buckets, end_pad
+        states = {} if cuts else buckets
         walk(0, end, len(alpha), 1)
-        check_at = -1  # run once, in the first layer
     else:
-        (end, states), check_at = start, -1  # a cut's states have passed the check
+        end, states = start
         while cuts[-1][0] < end:
             cuts.pop()
         at, lo = cuts.pop()
         if at != end:
             raise InvariantError(f"no cut before cell {end}")
+    check_at = -1  # the check ran in the first layer, or above the start
     width = len(profile) - 1
     while cuts:
         at, at_lo, layer = end, lo, states
         end, lo = cuts.pop()
-        if cuts:
-            states = {}
-        else:
-            states, pad = buckets, end_pad
+        states = {} if cuts else buckets
         for (above_vals, prof), weight in layer.items():
             vals[at_lo:at] = above_vals
             profile[1:] = prof + (0,) * (width - len(prof))
@@ -418,8 +393,8 @@ def _joins(
     outer: Partition, alphas: list[Partition]
 ) -> tuple[list[Partition], dict[int, list[Partition]]]:
     """(alone, joins) for ``_fill_alphas``: the alphas that walk alone, and
-    {cut: the alphas that join the walk of outer/() there}, cuts as cell
-    indices of outer/().
+    {row: the alphas that join the walk of outer/() at that row's start},
+    rows numbered from 0.
 
     A shared cut is a cut of the walk of outer/() at a row start at or
     below row 3; ``_fill`` finds its cuts bottom-up from the row lengths,
@@ -433,58 +408,80 @@ def _joins(
     cuts, so rows 3 and 4."""
     if len(alphas) < 3 or len(outer) < 4:
         return alphas, {}
-    row_start = list(itertools.accumulate(outer, initial=0))
-    # the shared cuts, the highest first, by ``_fill``'s rule: bottom-up, a
-    # row start with at least LAYER_CELLS cells after it before the next cut
-    # or the end
-    shared, below = [], row_start[-1]
-    for k in reversed(row_start[2:-1]):
-        if below - k >= LAYER_CELLS:
-            shared.insert(0, k)
-            below = k
+    # the rows of the shared cuts, the highest first, by ``_fill``'s rule:
+    # bottom-up, a row start with at least LAYER_CELLS cells after it before
+    # the next cut or the end
+    shared, below = [], 0
+    for r in range(len(outer) - 1, 1, -1):
+        below += outer[r]
+        if below >= LAYER_CELLS:
+            shared.insert(0, r)
+            below = 0
     if len(shared) < 2:
         return alphas, {}
-    arrivals = {}
-    for alpha in alphas:
-        top = row_start[max(len(alpha), 2)]
-        for k in shared:
-            if k >= top:
-                arrivals[alpha] = k
-                break
+    # the highest shared row at or below each alpha's rows: the last one
+    # written, as the rows are read lowest first
+    arrivals = {alpha: r for alpha in alphas for r in reversed(shared) if r >= len(alpha)}
     order = sorted(arrivals.values())
     if len(order) < 3 or order[1] == order[-1]:
         return alphas, {}
     joins: dict[int, list[Partition]] = {}
-    for alpha, k in arrivals.items():
-        joins.setdefault(max(k, order[1]), []).append(alpha)
+    for alpha, r in arrivals.items():
+        joins.setdefault(max(r, order[1]), []).append(alpha)
     return [alpha for alpha in alphas if alpha not in arrivals], joins
 
 
-def _fill_alphas(outer: Partition, alphas: Iterable[Partition], out: dict) -> dict:
+def _fill_alphas(
+    outer: Partition, alphas: Iterable[Partition], out: dict, cap: int | None = None
+) -> dict:
     """Accumulate {nu: count} into ``out`` over the Kronecker tableaux of
     outer/alpha, of type nu - alpha, for every alpha in alphas (each inside
-    outer, all of one size): the rule's full expansion, with fill states
-    merged across alpha below the rows of alpha (see ``_fill``).
+    outer, all of one size): the rule's expansion.  With a cap, CapReached
+    is raised as soon as a bucket reaches it, as by ``_expand_fillings``.
 
-    Each alpha that joins (``_joins``) walks its own layers down to its join
-    and adds its states into the live dict there; one walk of outer/()
-    carries the live dict from each join to the next, where it becomes the
-    next live dict, and from the last one on to the buckets.  The other
-    alphas walk alone.  The merge does not keep the rule's visiting order,
-    so a capped walk goes alpha by alpha instead."""
-    alone, joins = _joins(outer, list(alphas))
+    Without a cap, fill states are merged across alpha below the rows of
+    alpha.  Each alpha that joins (``_joins``) walks its own layers down to
+    its join, a cut at a row start, and adds its states into the live dict
+    there; one walk of outer/() carries the live dict from each join to the
+    next, where it becomes the next live dict, and from the last one on to
+    the buckets.  The other alphas walk alone.  An alpha's key at its join
+    reads the row above over those columns of the row below that have a
+    cell above, and the walk of outer/() reads it over all of them; so each
+    key gets a 0 for every other column, those inside alpha,
+    min(alpha_above, outer_below) of them.  The merge is then exact.  Each
+    cell list of outer/alpha has |outer| - |alpha| cells, so below the rows
+    of alpha every list has the same cells at the same indices, which are
+    those of outer/() less |alpha|, and the same cuts there.  A cell under
+    a column of alpha has floor 0 in the walk of outer/alpha (no cell
+    above) and in the walk of outer/() (a 0 above).  And how the cells below
+    the cut can be filled, and which bucket each filling reaches, depend on
+    the key alone: the profile carries alpha, and the limit is out of reach
+    in expand mode.  So each alpha's states reach the same buckets with the
+    same weights as in its own walk.
+
+    A capped walk stops at the first bucket to reach the cap, which the
+    merge would move, so with a cap no alpha joins and each walks alone, in
+    the order given: for the rule, alpha in descending lex order, fillings
+    in reverse reading order."""
+    alone, joins = _joins(outer, list(alphas)) if cap is None else (alphas, {})
     for alpha in alone:
-        _fill(_cells(outer, alpha), alpha, _kron_setup(outer, alpha, alpha, True), out=out)
+        check = _kron_setup(outer, alpha, alpha, True)
+        _fill(_cells(outer, alpha), alpha, check, out=out, cap=cap)
     if not joins:
         return out
     full = _cells(outer, ())
     live, at = {}, None
-    for k in sorted(joins):
+    for row in sorted(joins):
+        k = sum(outer[:row])
         if at is not None:
             live = _fill(full, (), start=(at, live), stop=k, out={})
-        for alpha in joins[k]:
+        for alpha in joins[row]:
             check = _kron_setup(outer, alpha, alpha, True)
-            _fill(_cells(outer, alpha), alpha, check, out=live, stop=k - sum(alpha))
+            states = _fill(_cells(outer, alpha), alpha, check, stop=k - sum(alpha))
+            pad = (0,) * min(part(alpha, row), outer[row])
+            while states:  # popped, so each key is freed as its padded copy goes in
+                (above, profile), weight = states.popitem()
+                live[above + pad, profile] = live.get((above + pad, profile), 0) + weight
         at = k
     return _fill(full, (), start=(at, live), out=out)
 

@@ -1,8 +1,9 @@
-"""Every answer up to n = 10, pinned by ``tools/coeff_digest.py``'s three lines.
+"""Every answer up to n = 10, pinned by ``tools/coeff_digest.py``'s four lines.
 
 The digest code is loaded from the tool itself, so there is one copy.  Any
 change to a ``kron_coeff`` answer (value, method or bound), to a full
-expansion or to either oracle's expansion changes one of these lines.
+expansion, to either oracle's expansion or to a capped expansion's verdict
+and witness (``formulas._direct_mfree``) changes one of these lines.
 """
 
 import importlib.util
@@ -14,6 +15,7 @@ DIGESTS_AT_10 = [
     (19138, "3208ffdc2a155ebbe0c439123d11c4cc7df292945886c8b7cc9810e1d8bc3d02"),
     (664, "b01e93b82cb61cff73386eee502b26a3b54960dddb0a2d91e09a5176ffd214c5"),
     (1328, "c653308b03cf27503e86bc4c35b1e47e13265139c2f2a8331e8b5898d7eb6cb3"),
+    (525, "3102d5a3c0c529a298dfd1f7d00aa85b65c6d93d97b6ed846d6d58b3ef5ae629"),
 ]
 
 

@@ -48,7 +48,13 @@ from schurkron import (
 )
 from schurkron import InvariantError, clear_caches, kronecker, oracle
 from schurkron.kronecker import _alpha_bound, _route, _rule_coeff, _tableau_sum, two_row
-from schurkron.tableaux import _count_fillings, _expand_fillings, _fill_alphas, _joins
+from schurkron.tableaux import (
+    CapReached,
+    _count_fillings,
+    _expand_fillings,
+    _fill_alphas,
+    _joins,
+)
 
 
 class TestKroneckerTableauCount:
@@ -240,6 +246,17 @@ def _per_alpha(work, p):
     return buckets
 
 
+def _capped(walk):
+    """(the nu at which walk(buckets) raised CapReached, or None, and the
+    buckets as it left them)."""
+    buckets = {}
+    try:
+        walk(buckets)
+    except CapReached as hit:
+        return hit.nu, buckets
+    return None, buckets
+
+
 def _merges_across_alpha(work, p):
     return bool(_joins(work, list(enumerate_partitions(p, inside=work)))[1])
 
@@ -283,6 +300,24 @@ class TestMergeAcrossAlpha:
                     assert _fill_alphas(lam, alphas, {}) == _per_alpha(lam, p), (lam, p)
                     merged += _merges_across_alpha(lam, p)
         assert merged == 42
+
+    @pytest.mark.parametrize("cap, stops", [(2, 1180), (3, 892)])
+    def test_capped_walk_is_the_per_alpha_loop_on_every_small_shape(self, cap, stops):
+        # with a cap no alpha joins: the walk stops at the same nu as the
+        # per-alpha loop, with the same buckets so far, or neither stops
+        def per_alpha(buckets):
+            for alpha in alphas:
+                _expand_fillings(lam, alpha, alpha, kron=True, out=buckets, cap=cap)
+
+        hits = 0
+        for n in range(13):
+            for lam in enumerate_partitions(n):
+                for p in range(7):
+                    alphas = list(enumerate_partitions(p, inside=lam))
+                    got = _capped(lambda buckets: _fill_alphas(lam, alphas, buckets, cap))
+                    assert got == _capped(per_alpha), (lam, p, cap)
+                    hits += got[0] is not None
+        assert hits == stops
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -650,11 +685,28 @@ class TestNonPartitions:
             lambda: kron_coeff(10, "2", (5, 5), (5, 5)),
             lambda: kron_expand_tworow(10.0, 2, (5, 5)),
             lambda: oracle_tworow_signed_sum(10, 2.0, (5, 5)),
+            lambda: is_multiplicity_free(12, 3.0, (6, 4, 2)),
+            lambda: is_multiplicity_free(12.0, 3, (6, 4, 2)),
+            lambda: is_multiplicity_free(12, "3", (6, 4, 2)),
+            lambda: is_multiplicity_free(40, 4.0, (20, 20)),
+            lambda: is_multiplicity_free(10, 1.0, (5, 5)),
         ],
-        ids=["kron_coeff-float-p", "kron_coeff-str-p", "expand-float-n", "signed-float-p"],
+        ids=[
+            "kron_coeff-float-p",
+            "kron_coeff-str-p",
+            "expand-float-n",
+            "signed-float-p",
+            "mfree-float-p",
+            "mfree-float-n",
+            "mfree-str-p",
+            "mfree-float-p-theorem",
+            "mfree-float-p-one",
+        ],
     )
     def test_non_integer_n_or_p(self, call):
         # the float p raised TypeError inside the engine, the float n answered;
+        # is_multiplicity_free raised TypeError on the first three and answered
+        # the last two from its classification lists as for an integer p;
         # the integer query is memoised first, so the refusal comes before the memo
         kron_coeff(10, 2, (5, 5), (5, 5))
         with pytest.raises(DomainError, match="need integer n and p"):

@@ -7,6 +7,7 @@ from schurkron import (
     PartitionParseError,
     conjugate,
     contains,
+    cycle_types,
     enumerate_partitions,
     format_partition,
     intersect,
@@ -117,6 +118,23 @@ class TestEnumerate:
     def test_max_length_and_part(self):
         got = list(enumerate_partitions(6, max_length=2, max_part=4))
         assert got == [(4, 2), (3, 3)]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: list(enumerate_partitions(2.5)),
+            lambda: list(enumerate_partitions(6.0)),
+            lambda: list(enumerate_partitions("3")),
+            lambda: list(enumerate_partitions(6, max_length=2.0)),
+            lambda: list(enumerate_partitions(6, max_part="4")),
+            lambda: cycle_types("3"),
+        ],
+        ids=["float-n", "whole-float-n", "str-n", "float-length", "str-part", "cycle-types"],
+    )
+    def test_non_integer_arguments(self, call):
+        # 2.5 yielded (2.5,), (1.5, 1.0) and (0.5,) * 5; "3" raised TypeError
+        with pytest.raises(DomainError, match="need integer n, max_length and max_part"):
+            call()
 
     def test_long_column_once(self):
         # the walk keeps its own stack: 1200 parts, far past the recursion limit

@@ -13,9 +13,12 @@ sum over a and mu of c^lam_{a mu} s_a s_mu; since c^lam_{a mu} = c^lam_{mu a}
 and sum over a of c^lam_{mu a} s_a = s_{lam/mu}, this is the right side.
 The mu are levels p and p-1 of ``shrink``, and s_mu s_{lam/mu} is one walk
 of the mu-lattice fillings of lam/mu, so no walk has more than p cells
-however large n is.  The full expansion runs those walks in expand mode.  A
-single coefficient of s_nu runs them in count mode with target nu; only
-mu inside nu reach it, so mu comes from shrinking lam & nu instead.  The
+however large n is.  The full expansion runs those walks in expand mode,
+one level at a time (``_level``); ``_signed_ladder`` walks each level of
+``shrink(lam, pmax)`` once and gives the signed sum for every p <= pmax,
+since level p - 1 of case p is level p of case p - 1.  A single
+coefficient of s_nu runs them in count mode with target nu; only mu inside
+nu reach it, so mu comes from shrinking lam & nu instead.  The
 lattice lets each cell take any value up to l(mu) + 1, so both walk the
 wider of lam and its conjugate, the coefficient with nu conjugated too and
 the expansion with its terms conjugated back, which leaves every g
@@ -46,7 +49,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .expansion import SchurExpansion
 from .partitions import (
@@ -93,19 +96,41 @@ def oracle_tworow_signed_sum(n: int, p: int, lam: Partition) -> SchurExpansion:
     tall = len(lam) > part(lam, 1)
     work = conjugate(lam) if tall else lam
     top, below = _coeff_levels(work, work, p)
+    return _signed(_level(work, top), _level(work, below), tall)
+
+
+def _level(work: Partition, mus: Iterable[Partition]) -> dict[Partition, int]:
+    """{nu: sum over mu in mus of the walks of work/mu}: one level of the
+    signed sum, the s_mu s_{work/mu} of its mu."""
     acc: dict[Partition, int] = {}
-    for mu in top:
+    for mu in mus:
         _expand_fillings(work, mu, mu, kron=False, out=acc)
-    neg: dict[Partition, int] = {}
-    for mu in below:
-        _expand_fillings(work, mu, mu, kron=False, out=neg)
-    for nu, c in neg.items():
+    return acc
+
+
+def _signed(top: dict, below: dict, tall: bool) -> SchurExpansion:
+    """top - below, the terms conjugated when tall; InvariantError if a
+    term is negative, named as answered."""
+    acc = dict(top)
+    for nu, c in below.items():
         acc[nu] = acc.get(nu, 0) - c
     terms = {conjugate(nu) if tall else nu: c for nu, c in acc.items()}
     bad = {nu: c for nu, c in terms.items() if c < 0}
     if bad:
         raise InvariantError(f"signed sum went negative: {bad}")
     return SchurExpansion(terms)
+
+
+def _signed_ladder(work: Partition, pmax: int) -> list[SchurExpansion]:
+    """The signed sum on work for p = 0..pmax, as ``oracle_tworow_signed_sum``
+    gives it for lam = work: level p of ``shrink(work, pmax)`` minus level
+    p - 1, each level walked once.  pmax must not exceed |work| / 2."""
+    ladder, below = [], {}
+    for mus in shrink(work, pmax):
+        top = _level(work, mus)
+        ladder.append(_signed(top, below, False))
+        below = top
+    return ladder
 
 
 def _coeff_levels(
@@ -182,6 +207,14 @@ took 0.08 s and 15 MiB at n = 16, 0.18 s and 19 MiB at n = 18, and 0.67 s
 and 30 MiB at n = 20 (peak RSS of the whole process)."""
 
 
+def _check_char_n(n: int) -> None:
+    """DomainError unless n <= MAX_CHAR_N, the character oracle's limit."""
+    if n > MAX_CHAR_N:
+        raise DomainError(
+            f"character oracle supports n <= {MAX_CHAR_N}, got n = {n}"
+        )
+
+
 def _pack_columns(columns, fact: int) -> tuple[int, tuple[int, ...]]:
     """(shift, packed): each column of a square table packed as sum over i
     of column[i] 2^(shift i).  With m the largest |entry|, shift is
@@ -207,10 +240,7 @@ def _char_table(n: int):
     the columns of chi as they are built.
     Refuses n > MAX_CHAR_N with DomainError before computing anything.
     Callers go through n in order, so a few cached tables suffice."""
-    if n > MAX_CHAR_N:
-        raise DomainError(
-            f"character oracle supports n <= {MAX_CHAR_N}, got n = {n}"
-        )
+    _check_char_n(n)
     parts = tuple(enumerate_partitions(n))
     zs = tuple(centralizer_order(r) for r in parts)
     masks = [_beta_mask(lam, n) for lam in parts]

@@ -1,16 +1,30 @@
 """Cross-module verification grids for the CLI ``verify`` subcommand.
 
-Each suite builds a list of cases, each a ``(check, args)`` pair whose
-check returns a mismatch string or None, and returns (cases checked, list of
-mismatch strings).  Cases fan out over a process pool when SCHURKRON_WORKERS
-(default: cpu count, clamped to [1, cpu count]) is above 1; results are
-reduced in task order so output is identical either way.
+Each suite builds a list of tasks, each a ``(check, args)`` pair, and
+returns (cases checked, list of mismatch strings).  Tasks fan out over a
+process pool when SCHURKRON_WORKERS (default: cpu count, clamped to
+[1, cpu count]) is above 1; results are reduced in task order so output is
+identical either way.
+
+The formulas suite's checks take one case each and return a mismatch string
+or None.  The theorem and oracles suites compare with the signed sum, which
+walks the wider of lam and its conjugate, work, and whose levels are shared:
+level p - 1 of case p is level p of case p - 1, and lam and its conjugate
+walk the same work.  So their cases, (n, p, lam) triples, are grouped by
+(n, work), and one task checks a group from one ``oracle._signed_ladder``
+of work, which walks each level once; the theorem suite's ladder stops at
+the largest p on the rule's routes, (work_1 + 1) // 2, where both lam and
+its conjugate leave them.  The count is still of triples, and the
+mismatches are sorted back into the grid's (n, p, lam) order.
 """
 
 from __future__ import annotations
 
 import os
+from itertools import chain
+from typing import Iterator
 
+from .expansion import SchurExpansion
 from .formulas import (
     hook_coeff,
     nu_double_pair_coeff,
@@ -19,9 +33,9 @@ from .formulas import (
     tworow_target_coeff,
     tworow_tworow_coeff,
 )
-from .kronecker import METHOD_ORACLE, _route, kron_coeff, kron_expand_tworow, two_row
-from .oracle import oracle_character_kron, oracle_tworow_signed_sum
-from .partitions import Partition, enumerate_partitions, part
+from .kronecker import kron_coeff, kron_expand_tworow, two_row
+from .oracle import _check_char_n, _signed_ladder, oracle_character_kron
+from .partitions import Partition, conjugate, enumerate_partitions, part
 
 
 class WorkerCountError(ValueError):
@@ -40,17 +54,18 @@ def worker_count() -> int:
     return min(max(1, requested), cpus)
 
 
-def _apply(task: tuple) -> str | None:
-    """The mismatch string of one ``(check, args)`` case, or None; at module
+def _apply(task: tuple) -> str | list | None:
+    """What the check of one ``(check, args)`` task returns; at module
     level, so a pool pickles it by name."""
     check, args = task
     return check(*args)
 
 
-def _run(tasks: list) -> tuple[int, list[str]]:
-    """(cases, mismatches): the ``(check, args)`` tasks, checked on a pool of
+def _run(tasks: list) -> tuple[int, list]:
+    """(tasks, mismatches): the ``(check, args)`` tasks, checked on a pool of
     ``worker_count()`` processes when there are enough of both, and the
-    mismatch strings their checks returned, in task order."""
+    mismatches their checks returned, in task order: a string per case for
+    a check of one case, a list of (case, string) for a check of a group."""
     results = map(_apply, tasks)  # lazy: runs in this process unless a pool does
     workers = worker_count()
     if workers > 1 and len(tasks) >= 4:
@@ -75,20 +90,33 @@ def _grid(nmax: int, pmax: int) -> list[tuple[int, int, Partition]]:
     ]
 
 
-def _check_theorem(n: int, p: int, lam: Partition) -> str | None:
-    got = kron_expand_tworow(n, p, lam)
-    want = oracle_tworow_signed_sum(n, p, lam)
-    if got.expansion != want:
-        return f"n={n} p={p} lam={lam}: rule ({got.method}) != signed oracle"
-    return None
+def _signed_cases(n: int, work: Partition, lams: tuple, top: int) -> Iterator[tuple]:
+    """(p, lam, the signed sum for (n, p, lam)) for p = 0..top and each lam
+    of lams, work and maybe its conjugate after it, from one
+    ``_signed_ladder`` of work: each level is walked once for every p and
+    both shapes.  The conjugate's terms are conjugated, as
+    ``oracle_tworow_signed_sum`` does."""
+    for p, signed in enumerate(_signed_ladder(work, top)):
+        yield p, work, signed
+        for lam in lams[1:]:
+            yield p, lam, SchurExpansion({conjugate(nu): c for nu, c in signed.as_dict().items()})
 
 
-def _check_oracles(n: int, p: int, lam: Partition) -> str | None:
-    signed = oracle_tworow_signed_sum(n, p, lam)
-    char = oracle_character_kron(two_row(n, p), lam)
-    if signed != char:
-        return f"n={n} p={p} lam={lam}: signed oracle != character oracle"
-    return None
+def _check_theorem(n: int, work: Partition, lams: tuple, top: int) -> list[tuple]:
+    found = []
+    for p, lam, want in _signed_cases(n, work, lams, top):
+        got = kron_expand_tworow(n, p, lam)
+        if got.expansion != want:
+            found.append(((n, p, lam), f"n={n} p={p} lam={lam}: rule ({got.method}) != signed oracle"))
+    return found
+
+
+def _check_oracles(n: int, work: Partition, lams: tuple, top: int) -> list[tuple]:
+    found = []
+    for p, lam, signed in _signed_cases(n, work, lams, top):
+        if signed != oracle_character_kron(two_row(n, p), lam):
+            found.append(((n, p, lam), f"n={n} p={p} lam={lam}: signed oracle != character oracle"))
+    return found
 
 
 def _check_hook(n: int, p: int, s: int) -> str | None:
@@ -135,15 +163,41 @@ def _check_p1(lam: Partition) -> str | None:
     return None
 
 
+def _by_work(check, nmax: int, pmax: int, on_rule: bool) -> tuple[int, list[str]]:
+    """(cases, mismatches) of a check of the (n, p, lam) of ``_grid``, or of
+    those on the rule's routes, grouped by (n, work), work the wider of lam
+    and its conjugate.  One task ``check(n, work, lams, top)`` per group
+    checks each lam of lams at p = 0..top and returns a list of (case,
+    mismatch string); the largest n go first, so that the longest tasks
+    start first.  On the rule's routes lam_1 >= 2p - 1 or l(lam) >= 2p - 1,
+    that is work_1 >= 2p - 1, so top stops at (work_1 + 1) // 2 for both
+    lam.  Mismatches come in ``_grid`` order."""
+    tasks, cases = [], 0
+    for n in range(nmax, 0, -1):
+        for work in enumerate_partitions(n):
+            if len(work) > work[0]:  # tall: checked in its conjugate's group
+                continue
+            lams = (work, conjugate(work)) if len(work) < work[0] else (work,)
+            top = min(pmax, n // 2, (work[0] + 1) // 2 if on_rule else n)
+            tasks.append((check, (n, work, lams, top)))
+            cases += len(lams) * (top + 1)
+    _, found = _run(tasks)
+    if not found:
+        return cases, []
+    position = {case: i for i, case in enumerate(_grid(nmax, pmax))}
+    return cases, [m for _, m in sorted(chain(*found), key=lambda f: position[f[0]])]
+
+
 def suite_theorem(nmax: int, pmax: int) -> tuple[int, list[str]]:
     """Tableau rule vs signed-sum oracle on the rule's domain."""
-    cases = [(n, p, lam) for n, p, lam in _grid(nmax, pmax) if _route(p, lam)[0] != METHOD_ORACLE]
-    return _run([(_check_theorem, case) for case in cases])
+    return _by_work(_check_theorem, nmax, pmax, on_rule=True)
 
 
 def suite_oracles(nmax: int, pmax: int) -> tuple[int, list[str]]:
-    """Signed-sum oracle vs character oracle, everywhere."""
-    return _run([(_check_oracles, case) for case in _grid(nmax, pmax)])
+    """Signed-sum oracle vs character oracle, everywhere; refuses nmax past
+    the character oracle's limit before any case runs."""
+    _check_char_n(nmax)
+    return _by_work(_check_oracles, nmax, pmax, on_rule=False)
 
 
 def suite_formulas(nmax: int, pmax: int) -> tuple[int, list[str]]:

@@ -230,6 +230,20 @@ class TestOtherCommands:
         rc, _, _ = run_cli("formula", "hook", "10", "4", "4", "7,1,1,1")
         assert rc == 3
 
+    def test_oracles_suite_refuses_before_any_engine_runs(self, monkeypatch, capsys):
+        from schurkron.oracle import MAX_CHAR_N
+
+        def engine(*args):
+            raise AssertionError("an engine ran before the refusal")
+
+        monkeypatch.setenv("SCHURKRON_WORKERS", "1")
+        for name in ("_signed_ladder", "oracle_character_kron", "kron_expand_tworow"):
+            monkeypatch.setattr(verify, name, engine)
+        code = main(["verify", "--grid", str(MAX_CHAR_N + 1), "1", "--suite", "oracles"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err.startswith(f"domain error: character oracle supports n <= {MAX_CHAR_N}")
+
     def test_verify_ok(self):
         rc, out, _ = run_cli("verify", "--grid", "7", "2", "--suite", "theorem")
         assert rc == 0 and "all equal" in out

@@ -46,7 +46,7 @@ from schurkron import (
     skew_times_alpha,
     tworow_target_coeff,
 )
-from schurkron import InvariantError, clear_caches, kronecker, oracle
+from schurkron import InvariantError, clear_caches, kronecker, oracle, tableaux
 from schurkron.kronecker import _alpha_bound, _route, _rule_coeff, _tableau_sum, two_row
 from schurkron.tableaux import (
     CapReached,
@@ -300,6 +300,26 @@ class TestMergeAcrossAlpha:
                     assert _fill_alphas(lam, alphas, {}) == _per_alpha(lam, p), (lam, p)
                     merged += _merges_across_alpha(lam, p)
         assert merged == 42
+
+    def test_joining_keys_read_the_whole_row_below(self, monkeypatch):
+        # at a join, every key of the live dict reads the row above over all
+        # outer[row] columns of the row below, as the walk of outer/() reads
+        # it: alpha = (2, 2) joins at row 2 (from 0), whose one column lies
+        # under alpha_2 = 2, so its keys get min(2, 1) = 1 zero, not 2
+        lam, p = (3, 2, 1, 1, 1, 1, 1, 1), 4
+        fill, widths = tableaux._fill, {}
+
+        def logged_fill(cells, alpha, *args, start=None, **kwargs):
+            if start is not None:
+                widths[start[0]] = {len(above) for above, _ in start[1]}
+            return fill(cells, alpha, *args, start=start, **kwargs)
+
+        monkeypatch.setattr(tableaux, "_fill", logged_fill)
+        alphas = list(enumerate_partitions(p, inside=lam))
+        assert _joins(lam, alphas)[1] == {2: [(3, 1), (2, 2)], 5: [(2, 1, 1), (1, 1, 1, 1)]}
+        assert _fill_alphas(lam, alphas, {}) == _per_alpha(lam, p)
+        # joins at cells 5 and 8 (rows 2 and 5), each key one column wide
+        assert widths == {5: {1}, 8: {1}}
 
     @pytest.mark.parametrize("cap, stops", [(2, 1180), (3, 892)])
     def test_capped_walk_is_the_per_alpha_loop_on_every_small_shape(self, cap, stops):

@@ -26,6 +26,7 @@ from schurkron import (
 )
 from schurkron import kronecker, oracle
 from schurkron.kronecker import two_row
+from schurkron.partitions import part, shrink
 
 
 class TestCycleTypes:
@@ -234,6 +235,27 @@ class TestSignedSum:
                     flipped = oracle_tworow_signed_sum(n, p, conjugate(lam))
                     want = oracle_tworow_signed_sum(n, p, lam).items_desc()
                     assert flipped.as_dict() == {conjugate(nu): c for nu, c in want}, (p, lam)
+
+    def test_ladder_is_the_signed_sum_at_every_p(self, monkeypatch):
+        # each level of shrink(work, pmax) is walked once, one walk per mu,
+        # for every p <= pmax
+        walks = []
+        fill = oracle._expand_fillings
+
+        def logged(outer, inner, *args, **kwargs):
+            walks.append(inner)
+            return fill(outer, inner, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_expand_fillings", logged)
+        for n in range(0, 11):
+            for work in enumerate_partitions(n):
+                if len(work) > part(work, 1):
+                    continue
+                walks.clear()
+                ladder = oracle._signed_ladder(work, n // 2)
+                assert len(walks) == sum(map(len, shrink(work, n // 2))), work
+                for p, signed in enumerate(ladder):
+                    assert signed == oracle_tworow_signed_sum(n, p, work), (p, work)
 
     def test_deep_single_coefficients(self):
         # shapes far deeper than the recursion limit; each walk has <= p cells

@@ -85,9 +85,12 @@ __version__ = "0.1.0"
 
 def clear_caches() -> None:
     """Empty every memo in the package, so that the next call computes
-    afresh (for timing, or before patching an engine underneath a cache)."""
+    afresh (for timing, or before patching an engine underneath a cache):
+    ``kron_coeff``'s answers, the unshifted walks its tables are built from
+    (``kronecker._lr_walk``) and the character tables."""
     for cache in (
         kronecker._kron_coeff,
+        kronecker._lr_walk,
         oracle._char_table,
     ):
         cache.cache_clear()

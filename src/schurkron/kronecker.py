@@ -22,15 +22,18 @@ alpha once for the alphas that share them; capped, it walks alpha by alpha,
 in the rule's visiting order.  A single coefficient comes from one table
 per query on every route: ``_alpha_bound`` walks lam/mu and nu/mu, at most
 p cells each, for the mu of the signed sum's two levels, and reads both the
-value and the bound from the L_alpha those walks give.  A walk reads nothing but its shape's cell list
-(``tableaux._cells``), so each distinct list is walked once per query, over
-both levels and both sides.  For one nu that is far less work than the
-rule, and the walks do not deepen with n.  The method tag still names the
-theorem that makes the value exact.  ``_rule_coeff`` keeps the rule's own
-single coefficient, and ``oracle_tworow_signed_coeff`` the signed sum in
-count mode, as independent references ``kron_coeff`` is tested against.
-``kron_coeff`` keeps its whole answers, value, tag and bound, in one bounded
-memo; the engines underneath it are uncached.
+value and the bound from the L_alpha those walks give.  A walk reads
+nothing but its shape's cell list (``tableaux._cells``), so ``_lr_walk``
+keeps the walks by list across queries, up to WALK_CACHE of them: a list is
+walked once per process while it is kept, over both levels, both sides and
+every query.  For one nu that is far less work than the rule, and the walks
+do not deepen with n.  The method tag still names the theorem that makes
+the value exact.  ``_rule_coeff`` keeps the rule's own single coefficient,
+and ``oracle_tworow_signed_coeff`` the signed sum in count mode, as
+independent references ``kron_coeff`` is tested against; neither reads the
+walk memo, and nor do the full expansions or a hard alpha's walk.
+``kron_coeff`` keeps its whole answers, value, tag and bound, in a second
+bounded memo, so a repeated query costs a lookup.
 """
 
 from __future__ import annotations
@@ -108,24 +111,36 @@ def _tableau_sum(lam: Partition, nu: Partition, p: int) -> int:
     )
 
 
-def _lr_squares(
-    lam: Partition,
-    nu: Partition,
-    mus: set[Partition],
-    walks: dict[tuple, dict[Partition, int]],
-) -> dict[Partition, int]:
+WALK_CACHE = 512
+"""Most unshifted walks ``_lr_walk`` keeps, the least recently used dropped
+first.  An L-walk of a query has at most p cells, and there are 401
+distinct lists of at most 6 cells (1, 1, 3, 9, 28, 87 and 272 with 0 to 6
+cells), so 512 keeps every L-walk of every query with p <= 6, at any n.
+``python tools/walk_memo.py SEED`` replays one coeff-stream round (p <= 6,
+n up to 2000); on seeds 1, 7 and 101 it prints "hits 19351 / 19487 / 20007
+misses 383", "distinct lists 383" and "traced bytes held 261560 / 253720 /
+247224", 0.24 MiB.  The worst case is 512 times the largest entry: a key
+costs about 64 to 90 bytes a cell and a walk about 80 bytes a type, so 512
+distinct lists of about 1200 cells, the longest a query walks in seconds,
+would hold about 50 MiB."""
+
+
+@lru_cache(maxsize=WALK_CACHE)
+def _lr_walk(cells: tuple[tuple[int, int], ...]) -> dict[Partition, int]:
+    """The unshifted walk of a cell list, {type: count}, memoised: a walk
+    reads nothing but its list, so the list is an exact key.  Callers only
+    read the dict."""
+    return _fill(cells, ())
+
+
+def _lr_squares(lam: Partition, nu: Partition, mus: set[Partition]) -> dict[Partition, int]:
     """{alpha: sum over mu in mus of c^lam_{mu alpha} c^nu_{mu alpha}}, from
-    unshifted walks of lam/mu and nu/mu.  A walk reads nothing but its cell
-    list (``tableaux._cells``), so equal lists walk alike; ``walks`` maps
-    each list to its walk, so a list met again, on either side or for
-    another mu, is not walked again."""
+    the unshifted walks of lam/mu and nu/mu.  ``_lr_walk`` keeps the walks
+    across queries, so a list met again, on either side, for another mu or
+    in a later query, is not walked again while it is kept."""
     out: dict[Partition, int] = {}
     for mu in mus:
-        keys = _cells(lam, mu), _cells(nu, mu)
-        for cells in keys:
-            if cells not in walks:
-                walks[cells] = _fill(cells, ())
-        left, right = walks[keys[0]], walks[keys[1]]
+        left, right = _lr_walk(_cells(lam, mu)), _lr_walk(_cells(nu, mu))
         for alpha, c in left.items():
             if alpha in right:
                 out[alpha] = out.get(alpha, 0) + c * right[alpha]
@@ -181,12 +196,12 @@ def _alpha_bound(lam: Partition, nu: Partition, p: int) -> tuple[int, int]:
     lam & nu.  Unshifted walks of lam/mu and nu/mu, at most p cells each,
     give these numbers for every a at once; the mu of size n-p+1 give the
     L_b for b |- p-1, the L_{a-} among them, and both levels are always
-    walked.  A walk reads nothing but its shape's cell list
+    read.  A walk reads nothing but its shape's cell list
     (``tableaux._cells``), which keeps no empty row or column, so the walks
-    are keyed by that list, and each distinct list is walked once per
-    query, over both levels and both sides; with nu == lam that is at most
-    one walk per mu.  The coefficient is the sum of the table's top level
-    minus the sum of its lower one: summed over a |- p, the L_a give
+    are kept by that list in ``_lr_walk``, across levels, sides and queries;
+    a query walks only the lists no earlier query left there.  The
+    coefficient is the sum of the table's top level minus the sum of its
+    lower one: summed over a |- p, the L_a give
     <sum over a of s_a s_{lam/a}, s_nu>, the first half of the signed sum in
     the ``oracle`` docstring, and the L_b give its second half.  A negative
     result raises InvariantError.  Kronecker tableaux are a-lattice SSYT, so
@@ -196,8 +211,7 @@ def _alpha_bound(lam: Partition, nu: Partition, p: int) -> tuple[int, int]:
     the coefficient.
     """
     top, below = _coeff_levels(lam, nu, p)
-    walks: dict = {}  # this query's walks, shared by both levels
-    upper, lower = _lr_squares(lam, nu, top, walks), _lr_squares(lam, nu, below, walks)
+    upper, lower = _lr_squares(lam, nu, top), _lr_squares(lam, nu, below)
     value = sum(upper.values()) - sum(lower.values())
     if value < 0:
         raise InvariantError(f"signed sum went negative at {nu}: {value}")
@@ -278,8 +292,8 @@ def _expand(n: int, p: int, lam: Partition, cap: int | None = None) -> KronExpan
 KRON_COEFF_CACHE = 4096
 """Answers kept by ``kron_coeff``, the package's one memo of single
 coefficients.  A repeated query then costs a lookup instead of a new
-table of walks, and the memory stays bounded however many distinct
-queries a process makes."""
+table, even one read from kept walks (``_lr_walk``), and the memory stays
+bounded however many distinct queries a process makes."""
 
 
 def kron_coeff(n: int, p: int, lam: Partition, nu: Partition) -> KronResult:

@@ -35,7 +35,7 @@ from .formulas import (
 )
 from .kronecker import kron_coeff, kron_expand_tworow, two_row
 from .oracle import _check_char_n, _signed_ladder, oracle_character_kron
-from .partitions import Partition, conjugate, enumerate_partitions, part
+from .partitions import DomainError, Partition, conjugate, enumerate_partitions, part
 
 
 class WorkerCountError(ValueError):
@@ -77,6 +77,12 @@ def _run(tasks: list) -> tuple[int, list]:
         except OSError:
             pass
     return len(tasks), [r for r in results if r]
+
+
+def _check_grid(nmax: int, pmax: int) -> None:
+    """DomainError unless both bounds of a grid are at least 0."""
+    if nmax < 0 or pmax < 0:
+        raise DomainError(f"grid bounds must be >= 0, got NMAX = {nmax}, PMAX = {pmax}")
 
 
 def _grid(nmax: int, pmax: int) -> list[tuple[int, int, Partition]]:
@@ -190,12 +196,14 @@ def _by_work(check, nmax: int, pmax: int, on_rule: bool) -> tuple[int, list[str]
 
 def suite_theorem(nmax: int, pmax: int) -> tuple[int, list[str]]:
     """Tableau rule vs signed-sum oracle on the rule's domain."""
+    _check_grid(nmax, pmax)
     return _by_work(_check_theorem, nmax, pmax, on_rule=True)
 
 
 def suite_oracles(nmax: int, pmax: int) -> tuple[int, list[str]]:
     """Signed-sum oracle vs character oracle, everywhere; refuses nmax past
     the character oracle's limit before any case runs."""
+    _check_grid(nmax, pmax)
     _check_char_n(nmax)
     return _by_work(_check_oracles, nmax, pmax, on_rule=False)
 
@@ -204,6 +212,7 @@ def suite_formulas(nmax: int, pmax: int) -> tuple[int, list[str]]:
     """Closed formulas on their stated domains: tworow and nu334 against
     ``kron_coeff`` (the signed sum); hook, rect-p2 and p1 against the
     tableau rule's expansion; tworow2 against the tworow formula."""
+    _check_grid(nmax, pmax)
     tasks: list = []
     for n in range(2, nmax + 1):
         for lam in enumerate_partitions(n):

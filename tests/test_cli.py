@@ -244,6 +244,19 @@ class TestOtherCommands:
         assert (code, out) == (3, "")
         assert err.startswith(f"domain error: character oracle supports n <= {MAX_CHAR_N}")
 
+    @pytest.mark.parametrize(
+        "grid, suite", [("-1 5", "theorem"), ("3 -2", "formulas"), ("-1 -1", "oracles")]
+    )
+    def test_negative_grid_refused_before_any_case_runs(self, grid, suite, monkeypatch, capsys):
+        def run(tasks):
+            raise AssertionError("a case ran before the refusal")
+
+        monkeypatch.setattr(verify, "_run", run)
+        code = main(["verify", "--grid", *grid.split(), "--suite", suite])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err.startswith("domain error: grid bounds must be >= 0")
+
     def test_verify_ok(self):
         rc, out, _ = run_cli("verify", "--grid", "7", "2", "--suite", "theorem")
         assert rc == 0 and "all equal" in out

@@ -9,6 +9,8 @@ and witness (``formulas._direct_mfree``) changes one of these lines.
 import importlib.util
 from pathlib import Path
 
+from schurkron import clear_caches, kronecker
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "coeff_digest.py"
 
 DIGESTS_AT_10 = [
@@ -19,8 +21,22 @@ DIGESTS_AT_10 = [
 ]
 
 
-def test_answers_up_to_ten_are_pinned():
+def _tool():
     spec = importlib.util.spec_from_file_location("coeff_digest", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_answers_up_to_ten_are_pinned():
+    assert _tool().digests(10) == DIGESTS_AT_10
+
+
+def test_answers_are_the_same_with_the_walk_memo_warm():
+    # a caller that changed a kept walk would change the second pass
+    tool = _tool()
+    clear_caches()
+    assert tool.digests(10) == DIGESTS_AT_10
+    kronecker._kron_coeff.cache_clear()  # answers, not walks, computed again
+    assert kronecker._lr_walk.cache_info().currsize
     assert tool.digests(10) == DIGESTS_AT_10

@@ -572,8 +572,8 @@ class TestOneTable:
         # inflate the lower level, the mu with n - p + 1 boxes
         squares = kronecker._lr_squares
 
-        def inflated(lam, nu, mus, walks):
-            table = squares(lam, nu, mus, walks)
+        def inflated(lam, nu, mus):
+            table = squares(lam, nu, mus)
             if any(sum(mu) == sum(lam) - 1 for mu in mus):
                 table = {beta: c + 10 for beta, c in table.items()}
             return table
@@ -582,26 +582,78 @@ class TestOneTable:
         with pytest.raises(InvariantError, match=r"went negative at \(3, 2\)"):
             kron_coeff(5, 2, (3, 2), (3, 2))
 
-    def test_each_cell_list_walked_once_per_query(self, fill_walks):
-        # the L-walks are the unshifted ones; a hard alpha's walk is shifted
-        walks = lookups = 0
-        clear_caches()  # a memoised kron_coeff would walk nothing
+    def test_each_cell_list_walked_once_over_the_grid(self, fill_walks):
+        # the L-walks are the unshifted ones; a hard alpha's walk is shifted.
+        # After one clear_caches() the memo keeps every list: n < 10 has p <= 4
+        lookups = 0
+        clear_caches()
         for n in range(0, 10):
             shapes = list(enumerate_partitions(n))
             for p in range(0, n // 2 + 1):
                 for lam in shapes:
                     for nu in shapes:
-                        fill_walks.clear()
                         kron_coeff(n, p, lam, nu)
-                        walked = [cells for cells, alpha, _ in fill_walks if alpha == ()]
-                        assert len(walked) == len(set(walked)), (p, lam, nu)
-                        mus = sum(map(len, oracle._coeff_levels(lam, nu, p)))
-                        if nu == lam:
-                            assert len(walked) <= mus, (p, lam)
-                        walks += len(walked)
-                        lookups += 2 * mus
-        # a list met again, on the other side or for another mu, is shared
-        assert 0 < walks < lookups
+                        lookups += 2 * sum(map(len, oracle._coeff_levels(lam, nu, p)))
+        walked = [cells for cells, alpha, _ in fill_walks if alpha == ()]
+        assert len(walked) == len(set(walked))
+        assert kronecker._lr_walk.cache_info().misses == len(walked)
+        # a list met again, on the other side, for another mu or in a later
+        # query, is shared
+        assert 0 < len(walked) < kronecker.WALK_CACHE < lookups
+
+
+@st.composite
+def _coeff_queries(draw):
+    """(n, p, lam, nu) with n <= 12: lam tall about half the time, nu == lam
+    about half the time, else nu near lam (the answer may still be 0)."""
+    n = draw(st.integers(0, 12))
+    p = draw(st.integers(0, n // 2))
+    shapes = list(enumerate_partitions(n))
+    lam = draw(st.sampled_from(shapes))
+    if draw(st.booleans()) and len(lam) < part(lam, 1):
+        lam = conjugate(lam)
+    if draw(st.booleans()):
+        return n, p, lam, lam
+    near = [nu for nu in shapes if sum(intersect(lam, nu)) >= n - p]
+    return n, p, lam, draw(st.sampled_from(near))
+
+
+class TestWalkMemo:
+    """``kronecker._lr_walk`` keeps the L-walks across queries; an answer
+    read from kept walks must be the answer computed afresh."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self):
+        clear_caches()
+        yield
+        clear_caches()
+
+    @settings(max_examples=60, deadline=None)
+    @given(stream=st.lists(_coeff_queries(), min_size=1, max_size=12))
+    def test_warm_memo_answers_as_fresh(self, stream):
+        # the walk memo stays warm across the stream and across examples;
+        # the answer memo is emptied so every answer reads the walks
+        warm = []
+        for query in stream:
+            kronecker._kron_coeff.cache_clear()
+            warm.append(kron_coeff(*query))
+        for query, got in zip(stream, warm):
+            assert got.value == oracle_tworow_signed_coeff(*query), query
+            clear_caches()
+            assert kron_coeff(*query) == got, query
+
+    def test_memo_stays_within_its_bound(self, fill_walks):
+        memo = kronecker._lr_walk
+        assert memo.cache_info().maxsize == kronecker.WALK_CACHE
+        n, p = 16, 8  # lists of up to 8 cells: more than the bound
+        for lam in enumerate_partitions(n):
+            kron_coeff(n, p, lam, lam)
+            assert memo.cache_info().currsize <= kronecker.WALK_CACHE, lam
+        walked = {cells for cells, alpha, _ in fill_walks if alpha == ()}
+        assert len(walked) > kronecker.WALK_CACHE
+        assert memo.cache_info().currsize == kronecker.WALK_CACHE
+        clear_caches()
+        assert memo.cache_info().currsize == 0
 
 
 # each entry point with every shape slot filled by a bad shape of size 5

@@ -386,6 +386,7 @@ class TestCaches:
         caches = _package_caches()
         assert set(caches) == {
             "kronecker._kron_coeff",
+            "kronecker._lr_walk",
             "oracle._char_table",
         }
         assert all(c.cache_info().currsize for c in caches.values())

@@ -1,0 +1,86 @@
+"""Replay one coeff-stream round in this process and print what the walk
+memo, ``kronecker._lr_walk``, did over it.
+
+    python tools/walk_memo.py SEED
+
+The round is the benchmark's own: the 1,500 ``kron_coeff`` queries that
+``bench/workloads.py`` makes for coeff-stream and SEED, asked once, in
+order, after ``clear_caches()``, as a benchmark round asks them.  This
+script only calls that generator; it changes nothing under ``bench/``.
+Printed, one per line:
+
+- the memo's hits and misses over the round, and its bound, WALK_CACHE;
+- the distinct cell lists looked up, and how many the memo held at the
+  end (fewer than the distinct lists only if it dropped some);
+- the bytes the memo held at the end under ``tracemalloc``, the traced
+  memory that emptying it frees, keys and walks together.
+
+The package is loaded from the ``src`` directory beside this script.
+"""
+
+from __future__ import annotations
+
+import sys
+import tracemalloc
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+from workloads import make_inputs  # noqa: E402
+
+from schurkron import clear_caches, kron_coeff, kronecker  # noqa: E402
+
+
+def replay(seed: int) -> dict[str, int]:
+    """The memo's counts over one coeff-stream round of ``seed``."""
+    ops = make_inputs("coeff-stream", seed)
+    memo = kronecker._lr_walk
+    seen: set = set()
+
+    def looked_up(cells):
+        seen.add(cells)
+        return memo(cells)
+
+    clear_caches()
+    tracemalloc.start()
+    kronecker._lr_walk = looked_up
+    try:
+        for op in ops:
+            kron_coeff(op["n"], op["p"], tuple(op["lam"]), tuple(op["nu"]))
+    finally:
+        kronecker._lr_walk = memo
+    info = memo.cache_info()
+    distinct = len(seen)
+    seen.clear()  # the memo alone holds the lists now
+    kronecker._kron_coeff.cache_clear()
+    held = tracemalloc.get_traced_memory()[0]
+    memo.cache_clear()
+    held -= tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    return {
+        "queries": len(ops),
+        "hits": info.hits,
+        "misses": info.misses,
+        "bound": info.maxsize,
+        "distinct": distinct,
+        "kept": info.currsize,
+        "bytes": held,
+    }
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python tools/walk_memo.py SEED", file=sys.stderr)
+        return 2
+    seed = int(argv[0])
+    counts = replay(seed)
+    print(f"seed {seed}: {counts['queries']} queries")
+    print(f"hits {counts['hits']} misses {counts['misses']} (WALK_CACHE {counts['bound']})")
+    print(f"distinct lists {counts['distinct']}, kept at the end {counts['kept']}")
+    print(f"traced bytes held {counts['bytes']} ({counts['bytes'] / 2**20:.2f} MiB)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -23,11 +23,15 @@ in the rule's visiting order.  A single coefficient comes from one table
 per query on every route: ``_alpha_bound`` walks lam/mu and nu/mu, at most
 p cells each, for the mu of the signed sum's two levels, and reads both the
 value and the bound from the L_alpha those walks give.  A walk reads
-nothing but its shape's cell list (``tableaux._cells``), so ``_lr_walk``
-keeps the walks by list across queries, up to WALK_CACHE of them: a list is
-walked once per process while it is kept, over both levels, both sides and
-every query.  For one nu that is far less work than the rule, and the walks
-do not deepen with n.  The method tag still names the theorem that makes
+nothing but its shape's cell list, and the list is fixed by the shape's row
+key (``tableaux._row_key``: each non-empty row's length and, when some of
+its cells have a cell above, how many do and how far the row above reaches
+past it), which names no other list.  So ``_lr_walk`` keeps the walks by
+row key across queries, up to WALK_CACHE of them, and builds a list only
+to walk it: a list is walked once per process while it is kept, over both
+levels, both sides and every query, and a query met again costs a few
+small tuples per mu.  For one nu that is far less work than the rule, and
+the walks do not deepen with n.  The method tag still names the theorem that makes
 the value exact.  ``_rule_coeff`` keeps the rule's own single coefficient,
 and ``oracle_tworow_signed_coeff`` the signed sum in count mode, as
 independent references ``kron_coeff`` is tested against; neither reads the
@@ -55,7 +59,7 @@ from .partitions import (
     part,
     remove_box,
 )
-from .tableaux import CapReached, _cells, _count_fillings, _fill, _fill_alphas
+from .tableaux import CapReached, _count_fillings, _fill, _fill_alphas, _key_cells, _row_key
 
 METHOD_ROWS = "tableau_rule"
 METHOD_CONJUGATE = "tableau_rule_conjugate"
@@ -114,33 +118,41 @@ def _tableau_sum(lam: Partition, nu: Partition, p: int) -> int:
 WALK_CACHE = 512
 """Most unshifted walks ``_lr_walk`` keeps, the least recently used dropped
 first.  An L-walk of a query has at most p cells, and there are 401
-distinct lists of at most 6 cells (1, 1, 3, 9, 28, 87 and 272 with 0 to 6
-cells), so 512 keeps every L-walk of every query with p <= 6, at any n.
-``python tools/walk_memo.py SEED`` replays one coeff-stream round (p <= 6,
-n up to 2000); on seeds 1, 7 and 101 it prints "hits 19351 / 19487 / 20007
-misses 383", "distinct lists 383" and "traced bytes held 261560 / 253720 /
-247224", 0.24 MiB.  The worst case is 512 times the largest entry: a key
-costs about 64 to 90 bytes a cell and a walk about 80 bytes a type, so 512
-distinct lists of about 1200 cells, the longest a query walks in seconds,
-would hold about 50 MiB."""
+distinct cell lists of at most 6 cells (1, 1, 3, 9, 28, 87 and 272 with 0
+to 6 cells), so 512 keeps every L-walk of every query with p <= 6, at any
+n.  ``python tools/walk_memo.py SEED`` replays one coeff-stream round
+(p <= 6, n up to 2000); on seeds 1, 7 and 101 it prints "hits 19351 /
+19487 / 20007 misses 383", "distinct keys 383, naming 383 lists" and
+"traced bytes held 169048" each, 0.16 MiB.  The worst case is 512 times
+the largest entry.  A row key is a few small tuples per row, whatever the
+row's length, so an entry is almost all walk.  The walk of
+(1200, 600)/(600,), two rows of 600 cells and about as long as a query
+walks in seconds (2.1 s on a 2-core Xeon with Python 3.11), has 601 types
+and holds 149,912 traced bytes with its key, about 250 bytes a type; its
+cell list alone holds 106,280.  512 such entries would hold about
+75 MiB."""
 
 
 @lru_cache(maxsize=WALK_CACHE)
-def _lr_walk(cells: tuple[tuple[int, int], ...]) -> dict[Partition, int]:
-    """The unshifted walk of a cell list, {type: count}, memoised: a walk
-    reads nothing but its list, so the list is an exact key.  Callers only
-    read the dict."""
-    return _fill(cells, ())
+def _lr_walk(key: tuple[tuple[int, ...], ...]) -> dict[Partition, int]:
+    """The unshifted walk of the shape with row key ``key``
+    (``tableaux._row_key``), {type: count}, memoised.  A walk reads nothing
+    but its cell list, and the key names exactly one list, built here from
+    the key on a miss; so the key is exact, and equal keys share one walk.
+    Callers only read the dict."""
+    return _fill(_key_cells(key), ())
 
 
 def _lr_squares(lam: Partition, nu: Partition, mus: set[Partition]) -> dict[Partition, int]:
     """{alpha: sum over mu in mus of c^lam_{mu alpha} c^nu_{mu alpha}}, from
     the unshifted walks of lam/mu and nu/mu.  ``_lr_walk`` keeps the walks
-    across queries, so a list met again, on either side, for another mu or
-    in a later query, is not walked again while it is kept."""
+    across queries by row key, a few numbers per row of the skew shape that
+    fix its cell list and are cheaper to build; so a shape met again, on
+    either side, for another mu or in a later query, is neither walked nor
+    turned into a cell list again while it is kept."""
     out: dict[Partition, int] = {}
     for mu in mus:
-        left, right = _lr_walk(_cells(lam, mu)), _lr_walk(_cells(nu, mu))
+        left, right = _lr_walk(_row_key(lam, mu)), _lr_walk(_row_key(nu, mu))
         for alpha, c in left.items():
             if alpha in right:
                 out[alpha] = out.get(alpha, 0) + c * right[alpha]
@@ -196,14 +208,15 @@ def _alpha_bound(lam: Partition, nu: Partition, p: int) -> tuple[int, int]:
     lam & nu.  Unshifted walks of lam/mu and nu/mu, at most p cells each,
     give these numbers for every a at once; the mu of size n-p+1 give the
     L_b for b |- p-1, the L_{a-} among them, and both levels are always
-    read.  A walk reads nothing but its shape's cell list
-    (``tableaux._cells``), which keeps no empty row or column, so the walks
-    are kept by that list in ``_lr_walk``, across levels, sides and queries;
-    a query walks only the lists no earlier query left there.  The
-    coefficient is the sum of the table's top level minus the sum of its
-    lower one: summed over a |- p, the L_a give
-    <sum over a of s_a s_{lam/a}, s_nu>, the first half of the signed sum in
-    the ``oracle`` docstring, and the L_b give its second half.  A negative
+    read.  A walk reads nothing but its shape's cell list, which keeps no
+    empty row or column and is fixed by the shape's row key
+    (``tableaux._row_key``), so the walks are kept by that key in
+    ``_lr_walk``, across levels, sides and queries; a query walks only the
+    shapes no earlier query left there.  The coefficient is the sum of the
+    table's top level minus the sum of its lower one: summed over a |- p,
+    the L_a give <sum over a of s_a s_{lam/a}, s_nu>, the first half of the
+    signed sum in the ``oracle`` docstring, and the L_b give its second
+    half.  A negative
     result raises InvariantError.  Kronecker tableaux are a-lattice SSYT, so
     an a with L_a = 0 adds nothing to the bound.  Only the a left, with
     a_1 > a_2 and 2 a_1 - 1 > lam_1, walk their Kronecker tableaux of lam/a,

@@ -14,9 +14,13 @@ sum of the buckets.
 
 The walk sees the shape only as its cell list (``_cells``): for each cell,
 in fill order, the index of the cell above it and of the cell to its right.
-The list names no row or column, so empty rows and columns add nothing to
-it, and two shapes with the same list have the same walk; a cell with no
-right neighbour starts a row.
+The list is built from the shape's row key (``_row_key``), a few numbers
+per non-empty row: its length and, when some of its cells have a cell
+above, how many do and how far the row above reaches past it.  That is
+all the list holds, so the key fixes the list and the list gives the key
+back: two shapes have equal keys exactly when they have equal lists, and
+then the same walk.  Neither names a row or column, so empty rows and
+columns add nothing; a cell with no right neighbour starts a row.
 
 The walk is one loop that backtracks in place, so its depth is not bounded
 by Python's recursion limit and it keeps no frame per cell.  Cell k's
@@ -181,24 +185,51 @@ def is_alpha_lattice(word: Sequence[int], alpha: Partition) -> bool:
     return True
 
 
-def _cells(outer: Partition, inner: Partition) -> tuple[tuple[int, int], ...]:
-    """The cell list of outer/inner, the one description of a shape the walk
-    reads: (above index, right index) per cell in reverse reading order, -1
-    where there is no such cell.  Row r's cells, columns end-1 down to
-    start, take consecutive indices from base, so cell (r, c) has index
-    base + end - 1 - c.  No row or column number is kept: an empty row or
-    column adds no cell, and shapes that differ only by those have equal
-    lists."""
-    cells: list[tuple[int, int]] = []
-    above_start = above_end = above_base = 0
+def _row_key(outer: Partition, inner: Partition) -> tuple[tuple[int, ...], ...]:
+    """The row key of outer/inner, the one description of a shape the walk
+    reads: one tuple per non-empty row r, top to bottom, (length,) when no
+    cell of the row has a cell above it, else (length, overlap, overhang):
+    outer_r - inner_{r-1} of its cells have a cell above, and the row above
+    reaches outer_{r-1} - outer_r past it.  These are all ``_key_cells``
+    needs, and all it reads of the shape; no row or column number is kept,
+    so an empty row or column adds nothing, and the row below an empty row
+    has no cell above it."""
+    key, depth = [], len(inner)
+    above_start = above_end = outer[0] if outer else 0
     for r, end in enumerate(outer):
-        start = inner[r] if r < len(inner) else 0
+        start = inner[r] if r < depth else 0
+        if end > above_start:
+            key.append((end - start, end - above_start, above_end - end))
+        elif end > start:
+            key.append((end - start,))
+        above_start, above_end = start, end
+    return tuple(key)
+
+
+def _key_cells(key: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int], ...]:
+    """The cell list of a row key: (above index, right index) per cell in
+    reverse reading order, -1 where there is no such cell.  A row's cells,
+    right to left, take consecutive indices from its base, and the i-th of
+    them has the cell base_above + overhang + i above it while i < overlap.
+    The list gives the key back (a cell with no right neighbour starts a
+    row, the first cells with one above count the overlap, and the first
+    of them the overhang), so equal keys are equal lists and no more."""
+    cells: list[tuple[int, int]] = []
+    above_base = 0
+    for row in key:
         base = len(cells)
-        for c in range(end - 1, start - 1, -1):
-            above = above_base + above_end - 1 - c if r and c >= above_start else -1
-            cells.append((above, len(cells) - 1 if c < end - 1 else -1))
-        above_start, above_end, above_base = start, end, base
+        length, overlap, overhang = row if len(row) == 3 else (row[0], 0, 0)
+        first = above_base + overhang
+        for i in range(length):
+            cells.append((first + i if i < overlap else -1, base + i - 1 if i else -1))
+        above_base = base
     return tuple(cells)
+
+
+def _cells(outer: Partition, inner: Partition) -> tuple[tuple[int, int], ...]:
+    """The cell list of outer/inner, read from its row key: shapes that
+    differ only by empty rows and columns have equal lists."""
+    return _key_cells(_row_key(outer, inner))
 
 
 def _kron_setup(outer: Partition, inner: Partition, alpha: Partition, kron: bool):

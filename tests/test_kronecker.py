@@ -1,4 +1,7 @@
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -654,6 +657,20 @@ class TestWalkMemo:
         assert memo.cache_info().currsize == kronecker.WALK_CACHE
         clear_caches()
         assert memo.cache_info().currsize == 0
+
+    def test_replayed_round_keys_each_list_once(self, monkeypatch):
+        # ``tools/walk_memo.py`` replays one coeff-stream round from
+        # ``bench/workloads.py``: one row key per cell list, every key kept
+        # within the bound, and each key walked once
+        tool = Path(__file__).resolve().parent.parent / "tools" / "walk_memo.py"
+        monkeypatch.setattr(sys, "path", list(sys.path))  # the tool extends it
+        spec = importlib.util.spec_from_file_location("walk_memo", tool)
+        walk_memo = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(walk_memo)
+        counts = walk_memo.replay(7)
+        assert counts["keys"] == counts["lists"] > 0
+        assert counts["kept"] <= kronecker.WALK_CACHE
+        assert counts["misses"] == counts["keys"]
 
 
 # each entry point with every shape slot filled by a bad shape of size 5

@@ -21,7 +21,7 @@ from schurkron import (
     skew_shape,
     tableau_type,
 )
-from schurkron.tableaux import _cells, _count_fillings, _expand_fillings
+from schurkron.tableaux import _cells, _count_fillings, _expand_fillings, _key_cells, _row_key
 
 FIG1 = Tableau(
     skew_shape((9, 5, 2, 1, 1), (3, 1)),
@@ -379,18 +379,67 @@ class TestExpandFillings:
         _assert_expand_matches_count(lam, alpha, data.draw(st.booleans()))
 
 
+def _cells_cell_by_cell(outer, inner):
+    """Independent reference for ``_cells``: the list built cell by cell
+    from row and column numbers, cell (r, c) of row r's cells, columns
+    end-1 down to start, at index base + end - 1 - c."""
+    cells = []
+    above_start = above_end = above_base = 0
+    for r, end in enumerate(outer):
+        start = inner[r] if r < len(inner) else 0
+        base = len(cells)
+        for c in range(end - 1, start - 1, -1):
+            above = above_base + above_end - 1 - c if r and c >= above_start else -1
+            cells.append((above, len(cells) - 1 if c < end - 1 else -1))
+        above_start, above_end, above_base = start, end, base
+    return tuple(cells)
+
+
+def _key_of_cells(cells):
+    """The row key read back from a cell list: a cell with no right
+    neighbour starts a row, the row's first cells with a cell above count
+    its overlap, and the first of them gives the overhang."""
+    key, above_base = [], 0
+    starts = [k for k, (_, right) in enumerate(cells) if right < 0] + [len(cells)]
+    for base, end in zip(starts, starts[1:]):
+        aboves = [above for above, _ in cells[base:end]]
+        overlap = sum(above >= 0 for above in aboves)
+        assert all(above >= 0 for above in aboves[:overlap])
+        row = (end - base, overlap, aboves[0] - above_base) if overlap else (end - base,)
+        key.append(row)
+        above_base = base
+    return tuple(key)
+
+
+@st.composite
+def _deep_shapes(draw):
+    """(outer, inner) with 2 or 3 rows and hundreds to thousands of cells;
+    inner may leave rows empty or cover whole columns."""
+    rows = draw(st.integers(2, 3))
+    outer = sorted(draw(st.lists(st.integers(100, 1500), min_size=rows, max_size=rows)), reverse=True)
+    inner = sorted(draw(st.lists(st.integers(0, 1500), min_size=rows, max_size=rows)), reverse=True)
+    inner = [min(i, o) for i, o in zip(inner, outer)]
+    return tuple(outer), tuple(inner)
+
+
 class TestCells:
-    """``_cells`` is the one description of a shape the walk reads: equal
-    lists must give equal walks, and empty rows and columns add no cells."""
+    """``_cells`` is the one description of a shape the walk reads, built
+    from its row key: equal lists must give equal walks, and empty rows and
+    columns add no cells."""
 
     def test_equal_lists_walk_alike_on_every_small_pair(self):
-        walks, pairs = {}, 0
+        walks, keys, pairs = {}, {}, 0
         for n in range(13):
             for lam in enumerate_partitions(n):
                 for k in range(n + 1):
                     for mu in enumerate_partitions(k, inside=lam):
                         cells = _cells(lam, mu)
                         assert len(cells) == n - k, (lam, mu)
+                        assert cells == _cells_cell_by_cell(lam, mu), (lam, mu)
+                        # the row key names one list, and the list one key
+                        key = _row_key(lam, mu)
+                        assert keys.setdefault(key, cells) == cells, (lam, mu)
+                        assert _key_of_cells(cells) == key, (lam, mu)
                         # an empty column on the left adds nothing
                         wider = [x + 1 for x in lam]
                         shifted = [part(mu, r) + 1 for r in range(1, len(lam) + 1)]
@@ -400,7 +449,7 @@ class TestCells:
                         pairs += 1
         assert pairs == 8855
         # one list per skew shape without its empty rows and columns
-        assert len(walks) == 1526
+        assert len(walks) == len(keys) == 1526
 
     def test_named_cases(self):
         # no cells left
@@ -417,3 +466,48 @@ class TestCells:
         assert _cells((4, 3, 1), (2, 1)) == ((-1, -1), (-1, 0), (1, -1), (-1, 2), (-1, -1))
         # cells in different columns are not the same shape
         assert _cells((2, 1), ()) != _cells((3, 1), (1,))
+
+
+class TestRowKey:
+    """``_row_key`` is what ``kronecker._lr_walk`` is keyed by: it must name
+    exactly one cell list, and ``_key_cells`` must build that list."""
+
+    def test_named_keys_and_lists(self):
+        # (length,) for a row with nothing above, (length, overlap, overhang)
+        # for one with cells under the row above
+        assert _row_key((4, 3, 1), (2, 1)) == ((2,), (2, 1, 1), (1,))
+        assert _key_cells(((2,), (2, 1, 1), (1,))) == (
+            (-1, -1), (-1, 0), (1, -1), (-1, 2), (-1, -1)
+        )
+        assert _row_key((3, 2), (3, 2)) == ()
+        assert _key_cells(()) == ()
+        assert _row_key((2, 2), ()) == ((2,), (2, 2, 0))
+        assert _key_cells(((2,), (2, 2, 0))) == ((-1, -1), (-1, 0), (0, -1), (1, 2))
+        assert _row_key((5, 2), (3,)) == ((2,), (2,))
+        assert _key_cells(((2,), (2,))) == ((-1, -1), (-1, 0), (-1, -1), (-1, 2))
+
+    def test_named_equalities_hold_through_the_key(self):
+        # trailing zeros of the inner shape add nothing
+        assert _row_key((3, 1), (1, 0)) == _row_key((3, 1), (1,))
+        # an empty middle row: (4, 2, 2)/(2, 2, 1) is (3, 1)/(1,), and the
+        # row below the empty one has no cell above it
+        assert _row_key((4, 2, 2), (2, 2, 1)) == _row_key((3, 1), (1,)) == ((2,), (1,))
+        # an empty column inside, and empty columns on the left
+        assert _row_key((5, 2), (3,)) == _row_key((4, 2), (2,))
+        assert _row_key((3, 2, 2), (1, 1, 1)) == _row_key((2, 1, 1), ())
+        # the same row lengths in different columns are not the same shape
+        assert _row_key((2, 1), ()) != _row_key((3, 1), (1,))
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=_deep_shapes(), shift=st.integers(0, 50))
+    def test_deep_shapes_key_their_lists_one_to_one(self, shape, shift):
+        outer, inner = shape
+        key, cells = _row_key(outer, inner), _cells_cell_by_cell(outer, inner)
+        assert len(cells) == sum(outer) - sum(inner)
+        # the key builds the list, and the list gives the key back
+        assert _key_cells(key) == cells
+        assert _key_of_cells(cells) == key
+        # empty columns on the left change neither
+        wider = tuple(x + shift for x in outer), tuple(x + shift for x in inner)
+        assert _row_key(*wider) == key
+        assert _cells_cell_by_cell(*wider) == cells

@@ -10,8 +10,10 @@ script only calls that generator; it changes nothing under ``bench/``.
 Printed, one per line:
 
 - the memo's hits and misses over the round, and its bound, WALK_CACHE;
-- the distinct cell lists looked up, and how many the memo held at the
-  end (fewer than the distinct lists only if it dropped some);
+- the distinct row keys looked up, the distinct cell lists those keys
+  name (equal counts: the key is exact, one key per list), and how many
+  keys the memo held at the end (fewer than the distinct keys only if it
+  dropped some);
 - the bytes the memo held at the end under ``tracemalloc``, the traced
   memory that emptying it frees, keys and walks together.
 
@@ -29,7 +31,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from workloads import make_inputs  # noqa: E402
 
-from schurkron import clear_caches, kron_coeff, kronecker  # noqa: E402
+from schurkron import clear_caches, kron_coeff, kronecker, tableaux  # noqa: E402
 
 
 def replay(seed: int) -> dict[str, int]:
@@ -38,9 +40,9 @@ def replay(seed: int) -> dict[str, int]:
     memo = kronecker._lr_walk
     seen: set = set()
 
-    def looked_up(cells):
-        seen.add(cells)
-        return memo(cells)
+    def looked_up(key):
+        seen.add(key)
+        return memo(key)
 
     clear_caches()
     tracemalloc.start()
@@ -51,8 +53,8 @@ def replay(seed: int) -> dict[str, int]:
     finally:
         kronecker._lr_walk = memo
     info = memo.cache_info()
-    distinct = len(seen)
-    seen.clear()  # the memo alone holds the lists now
+    keys, lists = len(seen), len({tableaux._key_cells(key) for key in seen})
+    seen.clear()  # the memo alone holds the keys now
     kronecker._kron_coeff.cache_clear()
     held = tracemalloc.get_traced_memory()[0]
     memo.cache_clear()
@@ -63,7 +65,8 @@ def replay(seed: int) -> dict[str, int]:
         "hits": info.hits,
         "misses": info.misses,
         "bound": info.maxsize,
-        "distinct": distinct,
+        "keys": keys,
+        "lists": lists,
         "kept": info.currsize,
         "bytes": held,
     }
@@ -77,7 +80,7 @@ def main(argv: list[str]) -> int:
     counts = replay(seed)
     print(f"seed {seed}: {counts['queries']} queries")
     print(f"hits {counts['hits']} misses {counts['misses']} (WALK_CACHE {counts['bound']})")
-    print(f"distinct lists {counts['distinct']}, kept at the end {counts['kept']}")
+    print(f"distinct keys {counts['keys']}, naming {counts['lists']} lists, kept at the end {counts['kept']}")
     print(f"traced bytes held {counts['bytes']} ({counts['bytes'] / 2**20:.2f} MiB)")
     return 0
 

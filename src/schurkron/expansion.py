@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterator, Mapping
 
-from .partitions import Partition
+from .partitions import DomainError, Partition
 
 
 class SchurExpansion:
@@ -26,9 +26,7 @@ class SchurExpansion:
             if weight is None:
                 weight = w
             elif w != weight:
-                raise ValueError(
-                    f"mixed-size keys: {nu} weighs {w}, expected {weight}"
-                )
+                raise DomainError(f"mixed-size keys: {nu} weighs {w}, expected {weight}")
             clean[nu] = coeff
         self._terms = clean
         self.weight = weight

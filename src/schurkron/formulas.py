@@ -19,13 +19,14 @@ from .partitions import (
     Partition,
     addable_rows,
     add_box,
+    check_integers,
     check_partition,
     check_tworow_args,
     part,
     removable_rows,
     remove_box,
 )
-from .tableaux import CapReached, _integers
+from .tableaux import CapReached
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -112,7 +113,7 @@ def rect_p2_expand(m: int, k: int) -> SchurExpansion:
     fixed nine-term list, with the terms guarded by k >= 3, k >= 4 and
     m >= 4 dropped when the guard fails.  Every coefficient is 1.
     """
-    _integers((m, k), "m and k")
+    check_integers((m, k), "m and k")
     if m < 1 or k < 1:
         raise DomainError(f"need m >= 1 and k >= 1, got m={m}, k={k}")
     n = m * k
@@ -165,7 +166,7 @@ def hook_coeff(n: int, p: int, s: int, nu: Partition) -> int:
     Nonzero values occur only at hooks and double hooks; the case table keys
     on nu_2 against p and on nu_1 within its four-wide window.
     """
-    _integers((n, p, s), "n, p and s")
+    check_integers((n, p, s), "n, p and s")
     nu = check_partition(nu, n)
     if not 1 <= s <= n - 1:
         raise DomainError(f"need 1 <= s <= n-1, got s={s}")
@@ -254,7 +255,7 @@ def tworow_target_coeff(n: int, p: int, lam: Partition, t: int) -> int:
     Zero when lam has more than four rows; otherwise an indicator a_p plus
     two window sums over the second row length l of alpha = (p-l,l).
     """
-    _integers((n, p, t), "n, p and t")
+    check_integers((n, p, t), "n, p and t")
     lam = check_partition(lam, n)
     if not 1 <= p <= n // 2:
         raise DomainError(f"need 1 <= p <= n/2, got p={p}, n={n}")
@@ -305,7 +306,7 @@ def tworow_target_coeff(n: int, p: int, lam: Partition, t: int) -> int:
 
 def tworow_tworow_coeff(n: int, p: int, s: int, t: int) -> int:
     """Coefficient of s_{(n-t,t)} in s_{(n-p,p)} * s_{(n-s,s)}."""
-    _integers((n, p, s, t), "n, p, s and t")
+    check_integers((n, p, s, t), "n, p, s and t")
     if not 1 <= p <= n // 2:
         raise DomainError(f"need 1 <= p <= n/2, got p={p}, n={n}")
     if not 0 <= s <= n // 2:
@@ -366,7 +367,7 @@ def tworow_tworow_sequence(n: int, p: int, s: int) -> TworowSequence:
     holds and falls back to ``kron_coeff`` elsewhere; t beyond n/2 indexes
     no partition and contributes 0.
     """
-    _integers((n, p, s), "n, p and s")
+    check_integers((n, p, s), "n, p and s")
     if p < 1 or p > s - 1:
         raise DomainError(f"need 1 <= p <= s-1, got p={p}, s={s}")
     if n - s < 2 * p - 1:
@@ -390,7 +391,7 @@ def tworow_tworow_sequence(n: int, p: int, s: int) -> TworowSequence:
 def nu_double_pair_coeff(n: int, p: int, s: int, nu: Partition) -> int:
     """Coefficient of s_nu in s_{(n-p,p)} * s_{(n-s,s)} for four-row nu with
     nu_3 == nu_4 >= 1; identically 0 when p <= 1."""
-    _integers((n, p, s), "n, p and s")
+    check_integers((n, p, s), "n, p and s")
     nu = check_partition(nu, n)
     if len(nu) != 4 or nu[2] != nu[3]:
         raise DomainError(f"nu must be (nu1,nu2,nu3,nu3) with nu3 >= 1: {nu}")

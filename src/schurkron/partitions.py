@@ -5,15 +5,18 @@ tuple is the unique partition of 0.  Reading a part beyond the length gives 0,
 so formulas never need explicit zero padding.
 
 This module is the one place that decides whether arguments are valid
-shapes and what form a checked shape takes: ``check_partition`` (a
-partition, optionally of a given size), ``skew_shape`` (two partitions, one
-inside the other) and ``check_tworow_args`` (partitions of n, for integers
-n and p with 0 <= 2p <= n) accept any sequence of ints and return the
-shapes they checked as tuples.  Every public function of the package that
-takes a partition calls one of them and computes on what it returns.  The
-primitives here (``part``, ``conjugate``, ``contains``, ``intersect``,
-``lex_compare``, ``remove_box``, ``add_box``, ...) do not check: they run in
-inner loops on shapes that were checked at the boundary.
+and what form a checked argument takes: ``check_partition`` (a partition,
+optionally of a given size), ``skew_shape`` (two partitions, one inside the
+other) and ``check_tworow_args`` (partitions of n, for integers n and p
+with 0 <= 2p <= n) accept any sequence of ints and return the shapes they
+checked as tuples, and ``check_integers`` refuses a scalar that is not an
+integer.  Every public function of the package that takes a partition or
+an integer calls one of them and computes on what it returns.
+``enumerate_partitions`` lists the partitions of n, all of them or those
+inside one checked shape.  The primitives here (``part``, ``conjugate``,
+``contains``, ``intersect``, ``lex_compare``, ``remove_box``, ``add_box``,
+...) do not check: they run in inner loops on shapes that were checked at
+the boundary.
 """
 
 from __future__ import annotations
@@ -65,6 +68,16 @@ def check_partition(lam: Sequence[int], n: int | None = None) -> Partition:
     return shape
 
 
+def check_integers(values: Iterable, what: str) -> tuple[int, ...]:
+    """values as a tuple of ints; DomainError, naming what, unless each one
+    is an integer (a float or a string is refused, not truncated)."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise DomainError(f"{what} must be integers, got {values!r}") from None
+
+
 def part(lam: Partition, i: int) -> int:
     """The i-th part, 1-based; 0 beyond the length."""
     return lam[i - 1] if 1 <= i <= len(lam) else 0
@@ -104,27 +117,18 @@ def lex_compare(lam: Partition, mu: Partition) -> int:
     return 0
 
 
-def enumerate_partitions(
-    n: int,
-    max_length: int | None = None,
-    max_part: int | None = None,
-    inside: Partition | None = None,
-) -> Iterator[Partition]:
-    """All partitions of n meeting the constraints, in descending lex order;
-    DomainError unless n, and max_length and max_part when given, are
-    integers.
+def enumerate_partitions(n: int, inside: Sequence[int] | None = None) -> Iterator[Partition]:
+    """All partitions of n, or all that fit inside the partition ``inside``,
+    in descending lex order; DomainError unless n is an integer and inside,
+    when given, a partition.  A length bound k is ``inside=(n,) * k`` and a
+    part bound m is ``inside=(m,) * n``.
 
     A depth-first walk on an explicit stack: ``parts`` is the prefix chosen
     so far and ``nxt[d]`` the next candidate for part d + 1, so the number
     of parts is not limited by the recursion limit."""
-    try:
-        n, max_length, max_part = (
-            x if x is None else operator.index(x) for x in (n, max_length, max_part)
-        )
-    except TypeError:
-        raise DomainError(
-            f"need integer n, max_length and max_part, got {n!r}, {max_length!r}, {max_part!r}"
-        ) from None
+    (n,) = check_integers((n,), "n")
+    if inside is not None:
+        inside = check_partition(inside)
     if n < 0:
         return
     if n == 0:
@@ -132,14 +136,12 @@ def enumerate_partitions(
         return
 
     def largest(rest: int, cap: int, depth: int) -> int:
-        if max_length is not None and depth >= max_length:
-            return 0
         if inside is not None:
             cap = min(cap, inside[depth]) if depth < len(inside) else 0
         return min(rest, cap)
 
     rest, parts = n, []
-    nxt = [largest(n, n if max_part is None else max_part, 0)]
+    nxt = [largest(n, n, 0)]
     while nxt:
         v = nxt.pop()
         if v > 0:
@@ -221,10 +223,7 @@ def skew_shape(outer: Sequence[int], inner: Sequence[int]) -> SkewShape:
 def check_tworow_args(n: int, p: int, *shapes: Sequence[int]) -> tuple[Partition, ...]:
     """The shapes as checked partitions; DomainError unless n and p are
     integers, 0 <= 2p <= n and every shape is a partition of n."""
-    try:
-        operator.index(n), operator.index(p)
-    except TypeError:
-        raise DomainError(f"need integer n and p, got n={n!r}, p={p!r}") from None
+    check_integers((n, p), "n and p")
     checked = tuple(check_partition(lam, n) for lam in shapes)
     if p < 0 or 2 * p > n:
         raise DomainError(f"need 0 <= 2p <= n, got p={p}, n={n}")

@@ -91,6 +91,7 @@ from .partitions import (
     InvariantError,
     Partition,
     SkewShape,
+    check_integers,
     check_partition,
     contains,
     part,
@@ -117,7 +118,7 @@ def is_ssyt(t: Tableau) -> bool:
         start = inner[r] if r < len(inner) else 0
         if len(row) != outer[r] - start:
             return False
-        for off, v in enumerate(_integers(row, "entries")):
+        for off, v in enumerate(check_integers(row, "entries")):
             if v < 1:
                 return False
             grid[(r, start + off)] = v
@@ -130,20 +131,13 @@ def is_ssyt(t: Tableau) -> bool:
 
 
 def reverse_reading_word(t: Tableau) -> tuple[int, ...]:
-    """Entries read right to left along each row, top row first."""
+    """Entries read right to left along each row, top row first.
+    DomainError unless the shape is a skew shape."""
+    skew_shape(*t.shape)
     word: list[int] = []
     for row in t.rows:
         word.extend(reversed(row))
     return tuple(word)
-
-
-def _integers(values: Iterable, what: str) -> tuple[int, ...]:
-    """values as ints; DomainError, naming what, unless each is an integer."""
-    values = tuple(values)
-    try:
-        return tuple(map(operator.index, values))
-    except TypeError:
-        raise DomainError(f"{what} must be integers, got {values!r}") from None
 
 
 def _letters(word: Iterable[int]) -> tuple[int, ...]:
@@ -161,7 +155,8 @@ def _letters(word: Iterable[int]) -> tuple[int, ...]:
 
 def tableau_type(t: Tableau) -> tuple[int, ...]:
     """(t_1, t_2, ...) where t_i counts the entries equal to i.  DomainError
-    unless every entry is a positive integer."""
+    unless the shape is a skew shape and every entry a positive integer."""
+    skew_shape(*t.shape)
     counts: list[int] = []
     for row in t.rows:
         for v in _letters(row):
@@ -548,7 +543,7 @@ def _expand_fillings(
 
 
 def _normalize_counts(counts: Iterable[int]) -> tuple[int, ...]:
-    c = _integers(counts, "type counts")
+    c = check_integers(counts, "type counts")
     while c and c[-1] == 0:
         c = c[:-1]
     if any(x < 0 for x in c):

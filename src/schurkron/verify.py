@@ -222,7 +222,7 @@ def suite_formulas(nmax: int, pmax: int) -> tuple[int, list[str]]:
             for s in range(1, n):
                 if n - s >= 2 * p - 1:
                     tasks.append((_check_hook, (n, p, s)))
-            for lam in enumerate_partitions(n, max_length=4):
+            for lam in enumerate_partitions(n, inside=(n,) * 4):
                 if part(lam, 1) >= 2 * p - 1:
                     tasks.append((_check_tworow, (n, p, lam)))
             for s in range(0, n // 2 + 1):
@@ -232,7 +232,7 @@ def suite_formulas(nmax: int, pmax: int) -> tuple[int, list[str]]:
                 for s in range(1, n // 2 + 1):
                     if n - s < 2 * p - 1:
                         continue
-                    for nu in enumerate_partitions(n, max_length=4):
+                    for nu in enumerate_partitions(n, inside=(n,) * 4):
                         if len(nu) == 4 and nu[2] == nu[3]:
                             tasks.append((_check_nu334, (n, p, s, nu)))
     for m in range(2, nmax + 1):

@@ -1,6 +1,6 @@
 import pytest
 
-from schurkron import SchurExpansion
+from schurkron import DomainError, SchurExpansion
 
 
 class TestConstruction:
@@ -11,8 +11,10 @@ class TestConstruction:
         assert e.weight == 4
 
     def test_rejects_mixed_sizes(self):
-        with pytest.raises(ValueError):
+        # a DomainError, like every refusal of caller input; it is a ValueError
+        with pytest.raises(DomainError, match="mixed-size keys") as err:
             SchurExpansion({(3, 1): 1, (2, 1): 1})
+        assert isinstance(err.value, ValueError)
 
     def test_empty(self):
         e = SchurExpansion()

@@ -256,7 +256,7 @@ class TestTworowTarget:
     def test_grid_matches_rule(self):
         for n in range(2, 12):
             for p in range(1, min(4, n // 2) + 1):
-                for lam in enumerate_partitions(n, max_length=4):
+                for lam in enumerate_partitions(n, inside=(n,) * 4):
                     if part(lam, 1) < 2 * p - 1:
                         continue
                     for t in range(n // 2 + 1):
@@ -340,7 +340,7 @@ class TestNuDoublePair:
                 for s in range(1, n // 2 + 1):
                     if n - s < 2 * p - 1:
                         continue
-                    for nu in enumerate_partitions(n, max_length=4):
+                    for nu in enumerate_partitions(n, inside=(n,) * 4):
                         if len(nu) != 4 or nu[2] != nu[3]:
                             continue
                         assert nu_double_pair_coeff(n, p, s, nu) == (

@@ -47,6 +47,7 @@ from schurkron import (
     skew_expand,
     skew_shape,
     skew_times_alpha,
+    tableau_type,
     tworow_target_coeff,
 )
 from schurkron import InvariantError, clear_caches, kronecker, oracle, tableaux
@@ -718,6 +719,18 @@ NON_PARTITION_CALLS = {
     "is_alpha_lattice": lambda bad: is_alpha_lattice([1], bad),
     "is_ssyt-outer": lambda bad: is_ssyt(Tableau(SkewShape(bad, ()), ((1, 1, 1), (2, 2)))),
     "is_ssyt-inner": lambda bad: is_ssyt(Tableau(SkewShape((6, 5), bad), ((1, 1, 1), (2, 2, 2)))),
+    "reverse_reading_word-outer": lambda bad: reverse_reading_word(
+        Tableau(SkewShape(bad, ()), ((1, 1, 1), (2, 2)))
+    ),
+    "reverse_reading_word-inner": lambda bad: reverse_reading_word(
+        Tableau(SkewShape((6, 5), bad), ((1, 1, 1), (2, 2, 2)))
+    ),
+    "tableau_type-outer": lambda bad: tableau_type(
+        Tableau(SkewShape(bad, ()), ((1, 1, 1), (2, 2)))
+    ),
+    "tableau_type-inner": lambda bad: tableau_type(
+        Tableau(SkewShape((6, 5), bad), ((1, 1, 1), (2, 2, 2)))
+    ),
     "descent_count": lambda bad: descent_count(bad),
     "reverse_lex_filling": lambda bad: reverse_lex_filling(bad),
     "join-top-outer": lambda bad: join(SkewShape(bad, ()), SkewShape((6, 5), ())),
@@ -798,7 +811,7 @@ class TestNonPartitions:
         # the last two from its classification lists as for an integer p;
         # the integer query is memoised first, so the refusal comes before the memo
         kron_coeff(10, 2, (5, 5), (5, 5))
-        with pytest.raises(DomainError, match="need integer n and p"):
+        with pytest.raises(DomainError, match="n and p must be integers"):
             call()
 
     @pytest.mark.parametrize("n, p, lam", [(6, 2, [5, 1]), (20, 3, [10, 10]), (40, 4, [39, 1])])

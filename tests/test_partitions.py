@@ -115,9 +115,22 @@ class TestEnumerate:
         assert list(enumerate_partitions(0)) == [()]
         assert list(enumerate_partitions(-1)) == []
 
-    def test_max_length_and_part(self):
-        got = list(enumerate_partitions(6, max_length=2, max_part=4))
+    def test_inside_a_rectangle_bounds_length_and_parts(self):
+        # at most 2 parts, each at most 4
+        got = list(enumerate_partitions(6, inside=(4, 4)))
         assert got == [(4, 2), (3, 3)]
+
+    def test_inside_is_the_filter_by_containment(self):
+        for kappa in all_partitions_up_to(10):
+            for n in range(sum(kappa) + 1):
+                got = list(enumerate_partitions(n, inside=kappa))
+                assert got == [mu for mu in enumerate_partitions(n) if contains(mu, kappa)]
+
+    @pytest.mark.parametrize("inside", [(1, 2), (3, 0, 2), (2.5, 1), "ab"])
+    def test_inside_must_be_a_partition(self, inside):
+        # (2.5, 1) yielded (2.5, 0.5) for n = 3 and "ab" raised TypeError
+        with pytest.raises(DomainError, match="not a partition"):
+            list(enumerate_partitions(3, inside=inside))
 
     @pytest.mark.parametrize(
         "call",
@@ -125,20 +138,17 @@ class TestEnumerate:
             lambda: list(enumerate_partitions(2.5)),
             lambda: list(enumerate_partitions(6.0)),
             lambda: list(enumerate_partitions("3")),
-            lambda: list(enumerate_partitions(6, max_length=2.0)),
-            lambda: list(enumerate_partitions(6, max_part="4")),
             lambda: cycle_types("3"),
         ],
-        ids=["float-n", "whole-float-n", "str-n", "float-length", "str-part", "cycle-types"],
+        ids=["float-n", "whole-float-n", "str-n", "cycle-types"],
     )
     def test_non_integer_arguments(self, call):
         # 2.5 yielded (2.5,), (1.5, 1.0) and (0.5,) * 5; "3" raised TypeError
-        with pytest.raises(DomainError, match="need integer n, max_length and max_part"):
+        with pytest.raises(DomainError, match="n must be integers"):
             call()
 
     def test_long_column_once(self):
         # the walk keeps its own stack: 1200 parts, far past the recursion limit
-        assert list(enumerate_partitions(1200, max_part=1)) == [(1,) * 1200]
         assert list(enumerate_partitions(1200, inside=(1,) * 1200)) == [(1,) * 1200]
 
 

@@ -4,7 +4,9 @@ Subcommands: kron, skew, lr, positivity, mfree, formula (hook, tworow, seq,
 nu334, rect-p2, p1) and verify.  Plain output prints one ``nu : coeff`` line
 per term, descending lex, after one ``#`` metadata line; ``--json`` emits one
 compact JSON object with coefficients as decimal strings.  Exit codes:
-0 ok, 2 parse error, 3 domain violation, 4 verification failure.
+0 ok, 2 parse error, 3 domain violation, 4 verification failure.  A reader
+that closes stdout early (``| head``) changes no exit code, 0 for an
+answer, and leaves no traceback: the rest of the output is dropped.
 
 Every ``_cmd_*`` handler computes and returns ``(record, header, body)``:
 ``record`` is the JSON object, ``header`` the plain ``#`` line (``None``
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -281,10 +284,13 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    if args.json:
-        print(json.dumps(record, separators=(",", ":")))
-    else:
-        print("\n".join([header or f"# {_meta(record)}", *body]))
+    try:
+        print(json.dumps(record, separators=(",", ":")) if args.json
+              else "\n".join([header or f"# {_meta(record)}", *body]), flush=True)
+    except BrokenPipeError:
+        # the reader stopped early: what is still buffered goes to devnull, so
+        # the interpreter's flush at exit stays quiet, and the exit code stands
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     print(f"# elapsed {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return EXIT_VERIFY if record.get("ok") is False else EXIT_OK
 

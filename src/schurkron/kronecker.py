@@ -16,28 +16,18 @@ above RULE_MAX_CELLS of them it takes the signed sum instead, whose walks
 have at most p cells and which is then the faster of the two.  Both
 engines run at any depth; the choice is one of speed only.  ``_expand``
 makes that choice, for the full expansion and for the capped one behind
-``is_multiplicity_free``.  The rule's expansions, capped or not, hand their
-alpha-loop to ``tableaux._fill_alphas``: uncapped, it walks the rows below
-alpha once for the alphas that share them; capped, it walks alpha by alpha,
-in the rule's visiting order.  A single coefficient comes from one table
-per query on every route: ``_alpha_bound`` walks lam/mu and nu/mu, at most
-p cells each, for the mu of the signed sum's two levels, and reads both the
-value and the bound from the L_alpha those walks give.  A walk reads
-nothing but its shape's cell list, and the list is fixed by the shape's row
-key (``tableaux._row_key``: each non-empty row's length and, when some of
-its cells have a cell above, how many do and how far the row above reaches
-past it), which names no other list.  So ``_lr_walk`` keeps the walks by
-row key across queries, up to WALK_CACHE of them, and builds a list only
-to walk it: a list is walked once per process while it is kept, over both
-levels, both sides and every query, and a query met again costs a few
-small tuples per mu.  For one nu that is far less work than the rule, and
-the walks do not deepen with n.  The method tag still names the theorem that makes
-the value exact.  ``_rule_coeff`` keeps the rule's own single coefficient,
-and ``oracle_tworow_signed_coeff`` the signed sum in count mode, as
-independent references ``kron_coeff`` is tested against; neither reads the
-walk memo, and nor do the full expansions or a hard alpha's walk.
-``kron_coeff`` keeps its whole answers, value, tag and bound, in a second
-bounded memo, so a repeated query costs a lookup.
+``is_multiplicity_free``, and hands the rule's alpha-loop to
+``tableaux._fill_alphas``.  A single coefficient comes from one table per
+query on every route: ``_alpha_bound`` walks lam/mu and nu/mu, at most p
+cells each, for the mu of the signed sum's two levels, and reads both the
+value and the bound from the L_alpha those walks give.  For one nu that is
+far less work than the rule, and the walks do not deepen with n.  The
+method tag still names the theorem that makes the value exact.
+``_rule_coeff`` keeps the rule's own single coefficient, and
+``oracle_tworow_signed_coeff`` the signed sum in count mode, as independent
+references ``kron_coeff`` is tested against; neither reads the walk memo
+(``_lr_walk``), and nor do the full expansions or a hard alpha's walk.
+``kron_coeff`` keeps its whole answers in a memo (``KRON_COEFF_CACHE``).
 """
 
 from __future__ import annotations
@@ -135,21 +125,17 @@ cell list alone holds 106,280.  512 such entries would hold about
 
 @lru_cache(maxsize=WALK_CACHE)
 def _lr_walk(key: tuple[tuple[int, ...], ...]) -> dict[Partition, int]:
-    """The unshifted walk of the shape with row key ``key``
-    (``tableaux._row_key``), {type: count}, memoised.  A walk reads nothing
-    but its cell list, and the key names exactly one list, built here from
-    the key on a miss; so the key is exact, and equal keys share one walk.
-    Callers only read the dict."""
+    """The unshifted walk of the shape with row key ``key``, {type: count},
+    memoised; the key is exact (``tableaux._key_cells``), and the cell list
+    is built here only on a miss.  Callers only read the dict."""
     return _fill(_key_cells(key), ())
 
 
 def _lr_squares(lam: Partition, nu: Partition, mus: set[Partition]) -> dict[Partition, int]:
     """{alpha: sum over mu in mus of c^lam_{mu alpha} c^nu_{mu alpha}}, from
-    the unshifted walks of lam/mu and nu/mu.  ``_lr_walk`` keeps the walks
-    across queries by row key, a few numbers per row of the skew shape that
-    fix its cell list and are cheaper to build; so a shape met again, on
-    either side, for another mu or in a later query, is neither walked nor
-    turned into a cell list again while it is kept."""
+    the unshifted walks of lam/mu and nu/mu, kept by row key in ``_lr_walk``:
+    a shape met again, on either side, for another mu or in a later query,
+    is neither walked nor turned into a cell list again while it is kept."""
     out: dict[Partition, int] = {}
     for mu in mus:
         left, right = _lr_walk(_row_key(lam, mu)), _lr_walk(_row_key(nu, mu))
@@ -208,17 +194,14 @@ def _alpha_bound(lam: Partition, nu: Partition, p: int) -> tuple[int, int]:
     lam & nu.  Unshifted walks of lam/mu and nu/mu, at most p cells each,
     give these numbers for every a at once; the mu of size n-p+1 give the
     L_b for b |- p-1, the L_{a-} among them, and both levels are always
-    read.  A walk reads nothing but its shape's cell list, which keeps no
-    empty row or column and is fixed by the shape's row key
-    (``tableaux._row_key``), so the walks are kept by that key in
-    ``_lr_walk``, across levels, sides and queries; a query walks only the
-    shapes no earlier query left there.  The coefficient is the sum of the
-    table's top level minus the sum of its lower one: summed over a |- p,
-    the L_a give <sum over a of s_a s_{lam/a}, s_nu>, the first half of the
-    signed sum in the ``oracle`` docstring, and the L_b give its second
-    half.  A negative
-    result raises InvariantError.  Kronecker tableaux are a-lattice SSYT, so
-    an a with L_a = 0 adds nothing to the bound.  Only the a left, with
+    read.  The walks are kept by row key in ``_lr_walk``, across levels,
+    sides and queries; a query walks only the shapes no earlier query left
+    there.  The coefficient is the sum of the table's top level minus the
+    sum of its lower one: summed over a |- p, the L_a give <sum over a of
+    s_a s_{lam/a}, s_nu>, the first half of the signed sum in the ``oracle``
+    docstring, and the L_b give its second half.  A negative result raises
+    InvariantError.  Kronecker tableaux are a-lattice SSYT, so an a with
+    L_a = 0 adds nothing to the bound.  Only the a left, with
     a_1 > a_2 and 2 a_1 - 1 > lam_1, walk their Kronecker tableaux of lam/a,
     which have n - p cells.  On the rows route no a is left and the bound is
     the coefficient.
@@ -278,9 +261,8 @@ def _expand(n: int, p: int, lam: Partition, cap: int | None = None) -> KronExpan
     is a cap.  With a cap, raise CapReached(nu) for the first nu whose
     coefficient reaches it, nu in lam's orientation.  On the rule's routes,
     when it walks, that is the first bucket to reach the cap in the rule's
-    visiting order (alpha in descending lex order, each walked alone,
-    fillings in reverse reading order); from the signed sum it is the
-    lex-largest nu with a coefficient of at least cap.
+    visiting order (``tableaux._fill_alphas``); from the signed sum it is
+    the lex-largest nu with a coefficient of at least cap.
     """
     method, work = _route(p, lam)
     if method == METHOD_ORACLE or n - p > RULE_MAX_CELLS:

@@ -12,15 +12,9 @@ one limit: v may be placed only while profile[v] < nu_v.  The cells number
 |nu| - |alpha|, so every leaf then has profile == nu and the count is the
 sum of the buckets.
 
-The walk sees the shape only as its cell list (``_cells``): for each cell,
-in fill order, the index of the cell above it and of the cell to its right.
-The list is built from the shape's row key (``_row_key``), a few numbers
-per non-empty row: its length and, when some of its cells have a cell
-above, how many do and how far the row above reaches past it.  That is
-all the list holds, so the key fixes the list and the list gives the key
-back: two shapes have equal keys exactly when they have equal lists, and
-then the same walk.  Neither names a row or column, so empty rows and
-columns add nothing; a cell with no right neighbour starts a row.
+The walk sees the shape only as its cell list (``_cells``), built from the
+shape's row key (``_row_key``); ``_key_cells`` says why the key names
+exactly one list.
 
 The walk is one loop that backtracks in place, so its depth is not bounded
 by Python's recursion limit and it keeps no frame per cell.  Cell k's
@@ -34,51 +28,34 @@ value off the profile, restores the saved vmax and tries the cell's next
 value.  So the fillings are visited in the same order as by a recursive
 walk.
 
-The walk merges equal fill states in layers.  Read from the bottom up, the
-cells are cut at row starts into layers of whole skew rows; the cells above
-the top cut form the first layer.  How the cells below a cut can be filled
-depends only on the values just above them, those of the row above the cut
-over the next row's columns, on the profile and on the limit, which is
-constant; so these values and the profile make the cut's state, and the
-merge is exact in both modes.  The walk fills the first layer once, and
-each later layer once per distinct state of the cut above it.  A state
-carries a weight, the number of paths through the layers above that reach
-it: the first layer reaches its states with weight 1, and a layer filled
-from a state of weight w adds w to each state or bucket it reaches, so
-every bucket still counts each tableau once.  A state costs a key, and a
-layer of one or two cells rarely saves what its states cost; so each layer
-below a cut holds at least 3 cells (``LAYER_CELLS``), counted down to the
-next cut or to the end, and each cut has a cell above it.
+The walk merges equal fill states in layers.  The cells are cut at row
+starts into layers of whole skew rows, by the rule of ``LAYER_CELLS``; the
+cells above the top cut form the first layer.  How the cells below a cut
+can be filled depends only on the values just above them, those of the row
+above the cut over the next row's columns, on the profile and on the
+limit, which is constant; so these values and the profile make the cut's
+state, and the merge is exact in both modes.  The walk fills the first
+layer once, and each later layer once per distinct state of the cut above
+it.  A state carries a weight, the number of paths through the layers
+above that reach it: the first layer reaches its states with weight 1, and
+a layer filled from a state of weight w adds w to each state or bucket it
+reaches, so every bucket still counts each tableau once.
 
 The last cell is settled in one loop: the walk adds the weight to the bucket
 of each allowed value in turn, the profile with that value placed.  The last
 cell has no cell after it, so each allowed value is a leaf, and the loop
 adds what a leaf per value would add, in the same order.
 
-The Kronecker check (rows 1 and 2 settled) must run before the first cut,
-so no cut lies above the first cell of row 3; a shape with no cell below
-row 2 runs its check at the leaf, so it is walked one tableau at a time,
-with no cut and no last-cell loop.  A capped walk stops at the first bucket
-to reach the cap, which depends on the visiting order, so it has no cut: it
-visits every tableau one by one, and the last-cell loop adds one to each
-bucket in that same order.
+A shape with no cell below row 2 runs its Kronecker check at the leaf
+(``_kron_setup``), so it is walked one tableau at a time, with no cut and
+no last-cell loop.  A capped walk stops at the first bucket to reach the
+cap, which depends on the visiting order, so it has no cut: it visits
+every tableau one by one, and the last-cell loop adds one to each bucket in
+that same order.
 
 An expansion of the Kronecker rule walks lam/alpha for every alpha |- p
-inside lam, and ``_fill_alphas`` is its one alpha-loop.  Uncapped, it
-merges states across alpha too: below the rows of alpha, the walks of
-lam/alpha share their layers.  Take a cut at a row start below every row
-of some alphas, at or below row 3, so that the check has run; a walk of
-lam/alpha stopped there keys each state by the row above over the next
-row's columns that have a cell above, and ``_fill_alphas`` gives each key
-a 0 for every other column, those inside alpha.  The states of those
-alphas at the cut may then be added into one dict and walked on once as
-states of lam/(), for three reasons.  Every cell list of lam/alpha has
-|lam| - p cells, so the cells below the cut have the same indices for
-every alpha, and the same cuts.  A cell under a column of alpha has floor
-0 both ways: no cell above it in lam/alpha, a 0 above it in lam/().  And
-each completion below the cut, and the bucket nu it reaches, depend only on
-the key, whose profile carries alpha.  A capped walk keeps its order, so a
-capped expansion walks alpha by alpha.
+inside lam; ``_fill_alphas`` is its one alpha-loop, and says why merging
+states across alpha, below the rows of alpha, is exact.
 """
 
 from __future__ import annotations
@@ -181,14 +158,13 @@ def is_alpha_lattice(word: Sequence[int], alpha: Partition) -> bool:
 
 
 def _row_key(outer: Partition, inner: Partition) -> tuple[tuple[int, ...], ...]:
-    """The row key of outer/inner, the one description of a shape the walk
-    reads: one tuple per non-empty row r, top to bottom, (length,) when no
-    cell of the row has a cell above it, else (length, overlap, overhang):
-    outer_r - inner_{r-1} of its cells have a cell above, and the row above
-    reaches outer_{r-1} - outer_r past it.  These are all ``_key_cells``
-    needs, and all it reads of the shape; no row or column number is kept,
-    so an empty row or column adds nothing, and the row below an empty row
-    has no cell above it."""
+    """The row key of outer/inner, which names one cell list
+    (``_key_cells``): one tuple per non-empty row r, top to bottom, (length,)
+    when no cell of the row has a cell above it, else (length, overlap,
+    overhang): outer_r - inner_{r-1} of its cells have a cell above, and the
+    row above reaches outer_{r-1} - outer_r past it.  No row or column
+    number is kept, so an empty row or column adds nothing, and the row
+    below an empty row has no cell above it."""
     key, depth = [], len(inner)
     above_start = above_end = outer[0] if outer else 0
     for r, end in enumerate(outer):
@@ -208,7 +184,9 @@ def _key_cells(key: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int], ...]:
     them has the cell base_above + overhang + i above it while i < overlap.
     The list gives the key back (a cell with no right neighbour starts a
     row, the first cells with one above count the overlap, and the first
-    of them the overhang), so equal keys are equal lists and no more."""
+    of them the overhang), so equal keys are equal lists and no more.  A
+    walk (``_fill``) reads nothing of a shape but its list, so the key names
+    the walk exactly: equal keys walk alike."""
     cells: list[tuple[int, int]] = []
     above_base = 0
     for row in key:
@@ -222,8 +200,7 @@ def _key_cells(key: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int], ...]:
 
 
 def _cells(outer: Partition, inner: Partition) -> tuple[tuple[int, int], ...]:
-    """The cell list of outer/inner, read from its row key: shapes that
-    differ only by empty rows and columns have equal lists."""
+    """The cell list of outer/inner, read from its row key (``_row_key``)."""
     return _key_cells(_row_key(outer, inner))
 
 
@@ -248,9 +225,13 @@ def _kron_setup(outer: Partition, inner: Partition, alpha: Partition, kron: bool
 
 
 LAYER_CELLS = 3
-"""Fewest cells in a layer below a cut, counted down to the next cut or to
-the end: a state costs a key, and a layer of one or two cells rarely saves
-what its states cost.  ``_fill`` and ``_joins`` cut by this one rule."""
+"""The layer rule: read from the bottom up, the cells are cut at row starts,
+at or after the Kronecker check, and each layer below a cut holds at least
+LAYER_CELLS cells, counted down to the next cut or to the end, and each cut
+has a cell above it.  The check (rows 1 and 2 settled) must run before the
+first cut, so no cut lies above the first cell of row 3.  A state costs a
+key, and a layer of one or two cells rarely saves what its states cost.
+``_fill`` and ``_joins`` cut by this one rule."""
 
 
 class CapReached(Exception):
@@ -275,7 +256,7 @@ def _fill(
     the alpha-lattice SSYT of the shape whose cell list is ``cells``
     (Kronecker tableaux only under a ``_kron_setup`` check), only of type
     target - alpha when a target is given.  It reads the shape from the
-    list alone, so equal lists walk alike.
+    list alone (``_key_cells``).
 
     One walk down the cells finds the layers' ends (see the module
     docstring).  ``walk`` fills the first layer from the empty filling and
@@ -423,32 +404,29 @@ def _joins(
     rows numbered from 0.
 
     A shared cut is a cut of the walk of outer/() at a row start at or
-    below row 3; ``_fill`` finds its cuts bottom-up from the row lengths,
-    so every walk of outer/alpha makes the same cuts in its rows below
-    alpha.  Each alpha arrives at its first shared cut below its rows.  At
-    a cut two alphas rarely share a state, as their profiles differ by the
-    alphas; the states carried through a shared layer meet far more often.
-    So the walk of outer/() begins where a second alpha arrives, if another
-    alpha arrives lower down, and not at all otherwise; the alphas arriving
-    above the beginning join there.  This needs three alphas and two shared
-    cuts, so rows 3 and 4."""
+    below row 3; ``_fill`` cuts by the rule of ``LAYER_CELLS``, bottom-up
+    from the row lengths, so every walk of outer/alpha makes the same cuts
+    in its rows below alpha.  Each alpha arrives at its first shared cut
+    below its rows.  At a cut two alphas rarely share a state, as their
+    profiles differ by the alphas; the states carried through a shared
+    layer meet far more often.  So the walk of outer/() begins where a
+    second alpha arrives, if another alpha arrives lower down, and not at
+    all otherwise; the alphas arriving above the beginning join there.  This
+    needs three alphas and two shared cuts, so rows 3 and 4."""
     if len(alphas) < 3 or len(outer) < 4:
         return alphas, {}
-    # the rows of the shared cuts, the highest first, by ``_fill``'s rule:
-    # bottom-up, a row start with at least LAYER_CELLS cells after it before
-    # the next cut or the end
+    # the rows of the shared cuts, the highest first, by the rule of LAYER_CELLS
     shared, below = [], 0
     for r in range(len(outer) - 1, 1, -1):
         below += outer[r]
         if below >= LAYER_CELLS:
             shared.insert(0, r)
             below = 0
-    if len(shared) < 2:
-        return alphas, {}
     # the highest shared row at or below each alpha's rows: the last one
     # written, as the rows are read lowest first
     arrivals = {alpha: r for alpha in alphas for r in reversed(shared) if r >= len(alpha)}
     order = sorted(arrivals.values())
+    # no join without three arrivals at two shared rows at least
     if len(order) < 3 or order[1] == order[-1]:
         return alphas, {}
     joins: dict[int, list[Partition]] = {}
@@ -470,20 +448,20 @@ def _fill_alphas(
     its join, a cut at a row start, and adds its states into the live dict
     there; one walk of outer/() carries the live dict from each join to the
     next, where it becomes the next live dict, and from the last one on to
-    the buckets.  The other alphas walk alone.  An alpha's key at its join
-    reads the row above over those columns of the row below that have a
-    cell above, and the walk of outer/() reads it over all of them; so each
-    key gets a 0 for every other column, those inside alpha,
-    min(alpha_above, outer_below) of them.  The merge is then exact.  Each
-    cell list of outer/alpha has |outer| - |alpha| cells, so below the rows
-    of alpha every list has the same cells at the same indices, which are
-    those of outer/() less |alpha|, and the same cuts there.  A cell under
-    a column of alpha has floor 0 in the walk of outer/alpha (no cell
-    above) and in the walk of outer/() (a 0 above).  And how the cells below
-    the cut can be filled, and which bucket each filling reaches, depend on
-    the key alone: the profile carries alpha, and the limit is out of reach
-    in expand mode.  So each alpha's states reach the same buckets with the
-    same weights as in its own walk.
+    the buckets.  The other alphas walk alone, through ``_expand_fillings``.
+    An alpha's key at its join reads the row above over those columns of
+    the row below that have a cell above, and the walk of outer/() reads it
+    over all of them; so each key gets a 0 for every other column, those
+    inside alpha, min(alpha_above, outer_below) of them.  The merge is then
+    exact.  Each cell list of outer/alpha has |outer| - |alpha| cells, so
+    below the rows of alpha every list has the same cells at the same
+    indices, which are those of outer/() less |alpha|, and the same cuts
+    there.  A cell under a column of alpha has floor 0 in the walk of
+    outer/alpha (no cell above) and in the walk of outer/() (a 0 above).
+    And how the cells below the cut can be filled, and which bucket each
+    filling reaches, depend on the key alone: the profile carries alpha, and
+    the limit is out of reach in expand mode.  So each alpha's states reach
+    the same buckets with the same weights as in its own walk.
 
     A capped walk stops at the first bucket to reach the cap, which the
     merge would move, so with a cap no alpha joins and each walks alone, in
@@ -491,8 +469,7 @@ def _fill_alphas(
     in reverse reading order."""
     alone, joins = _joins(outer, list(alphas)) if cap is None else (alphas, {})
     for alpha in alone:
-        check = _kron_setup(outer, alpha, alpha, True)
-        _fill(_cells(outer, alpha), alpha, check, out=out, cap=cap)
+        _expand_fillings(outer, alpha, alpha, True, out, cap)
     if not joins:
         return out
     full = _cells(outer, ())

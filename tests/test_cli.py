@@ -335,6 +335,24 @@ class TestMainEntry:
         rc, _, _ = run_cli("nosuch")
         assert rc == 2
 
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    def test_reader_closing_stdout_early_exits_0(self, extra):
+        # 5,920 terms, about 120 KB plain and 220 KB as JSON: more than a
+        # pipe buffer, so the write itself meets the closed pipe, as under head
+        proc = subprocess.Popen(
+            EXE + ["kron", "40", "7", "13,10,8,6,3", *extra],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=ENV,
+        )
+        assert "command" in proc.stdout.read(16)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=300) == 0
+        assert "Traceback" not in err and "Exception ignored" not in err, err
+
 
 def run_main(capsys, *args):
     """Exit code and stdout of one in-process ``main`` call."""

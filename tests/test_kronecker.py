@@ -51,6 +51,7 @@ from schurkron import (
     tworow_target_coeff,
 )
 from schurkron import InvariantError, clear_caches, kronecker, oracle, tableaux
+from schurkron.formulas import _direct_mfree
 from schurkron.kronecker import _alpha_bound, _route, _rule_coeff, _tableau_sum, two_row
 from schurkron.tableaux import (
     CapReached,
@@ -342,6 +343,23 @@ class TestMergeAcrossAlpha:
                     assert got == _capped(per_alpha), (lam, p, cap)
                     hits += got[0] is not None
         assert hits == stops
+
+    def test_lone_and_capped_alphas_walk_through_expand_fillings(self, monkeypatch):
+        # the alpha-loop's one entry for an alpha that walks alone: capped,
+        # the walk stops in the first alpha's call; uncapped on three rows,
+        # no alpha joins and each one gets a call of its own
+        expand, calls = tableaux._expand_fillings, []
+
+        def logged(outer, inner, alpha, kron, out=None, cap=None):
+            calls.append((inner, cap))
+            return expand(outer, inner, alpha, kron, out, cap)
+
+        monkeypatch.setattr(tableaux, "_expand_fillings", logged)
+        assert _direct_mfree(12, 3, (6, 4, 2)) == (False, ((8, 3, 1), 4))
+        assert calls == [((3,), 2)]
+        calls.clear()
+        kron_expand_tworow(12, 3, (6, 4, 2))
+        assert calls == [((3,), None), ((2, 1), None), ((1, 1, 1), None)]
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())

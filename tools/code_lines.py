@@ -2,7 +2,10 @@
 
 A code line holds at least one token that is not a comment and not part of
 a bare string statement (a docstring or a string on its own).  Blank lines,
-comment lines and docstring lines are not counted.
+comment lines and docstring lines are not counted.  Beside each module's
+code lines the tool prints its raw line count, every line of the file, so
+that prose growth shows next to code growth; the last line gives both
+totals.
 
 Run from anywhere: ``python tools/code_lines.py``.
 """
@@ -40,12 +43,14 @@ def code_lines(source: str) -> int:
 
 
 def main() -> None:
-    total = 0
+    total = raw_total = 0
     for path in sorted(PACKAGE.glob("*.py")):
-        count = code_lines(path.read_text())
+        source = path.read_text()
+        count, raw = code_lines(source), len(source.splitlines())
         total += count
-        print(f"{count:6d}  {path.name}")
-    print(f"{total:6d}  total")
+        raw_total += raw
+        print(f"{count:6d}  {raw:6d}  {path.name}")
+    print(f"{total:6d}  {raw_total:6d}  total")
 
 
 if __name__ == "__main__":

@@ -14,17 +14,18 @@ and sum over a of c^lam_{mu a} s_a = s_{lam/mu}, this is the right side.
 The mu are levels p and p-1 of ``shrink``, and s_mu s_{lam/mu} is one walk
 of the mu-lattice fillings of lam/mu, so no walk has more than p cells
 however large n is.  The full expansion runs those walks in expand mode,
-one level at a time (``_level``); ``_signed_ladder`` walks each level of
-``shrink(lam, pmax)`` once and gives the signed sum for every p <= pmax,
-since level p - 1 of case p is level p of case p - 1.  A single
-coefficient of s_nu runs them in count mode with target nu; only mu inside
-nu reach it, so mu comes from shrinking lam & nu instead.  The
-lattice lets each cell take any value up to l(mu) + 1, so both walk the
-wider of lam and its conjugate, the coefficient with nu conjugated too and
-the expansion with its terms conjugated back, which leaves every g
-unchanged.  ``kronecker.kron_coeff`` reads its values from its own table of
-the same levels (``kronecker._alpha_bound``), so this count-mode
-coefficient, which is uncached, is an independent check of it.
+one level at a time (``_level``), and ``_signed`` takes the difference of
+two levels; ``_signed_ladder`` walks every level up to a bound once, for
+the ``verify`` grids.  A single coefficient of s_nu runs them in count mode
+with target nu; only mu inside nu reach it, so mu comes from shrinking
+lam & nu instead.  The lattice lets each cell take any value up to
+l(mu) + 1, so both walk the wider of lam and its conjugate, the
+coefficient with nu conjugated too and the expansion with its terms
+conjugated back, which leaves every g unchanged, since
+g_{(n-p,p),lam',nu'} = g_{(n-p,p),lam,nu}.  ``kronecker.kron_coeff`` reads
+its values from its own table of the same levels
+(``kronecker._alpha_bound``), so this count-mode coefficient, which is
+uncached, is an independent check of it.
 
 The character oracle evaluates the triple character sum
 g = sum over cycle types rho of chi^lam chi^mu chi^nu / z_rho with exact
@@ -91,7 +92,7 @@ def cycle_types(n: int) -> list[CycleType]:
 def oracle_tworow_signed_sum(n: int, p: int, lam: Partition) -> SchurExpansion:
     """Full expansion of s_{(n-p,p)} * s_lam by the signed sum: the walks of
     lam/mu for mu |- n-p inside lam, minus those for mu |- n-p+1, on the
-    wider of lam and its conjugate, with the terms conjugated back."""
+    wider of lam and its conjugate (module docstring)."""
     (lam,) = check_tworow_args(n, p, lam)
     tall = len(lam) > part(lam, 1)
     work = conjugate(lam) if tall else lam
@@ -121,16 +122,12 @@ def _signed(top: dict, below: dict, tall: bool) -> SchurExpansion:
     return SchurExpansion(terms)
 
 
-def _signed_ladder(work: Partition, pmax: int) -> list[SchurExpansion]:
-    """The signed sum on work for p = 0..pmax, as ``oracle_tworow_signed_sum``
-    gives it for lam = work: level p of ``shrink(work, pmax)`` minus level
-    p - 1, each level walked once.  pmax must not exceed |work| / 2."""
-    ladder, below = [], {}
-    for mus in shrink(work, pmax):
-        top = _level(work, mus)
-        ladder.append(_signed(top, below, False))
-        below = top
-    return ladder
+def _signed_ladder(work: Partition, pmax: int) -> list[dict[Partition, int]]:
+    """The ``_level`` of work for each level of ``shrink(work, pmax)``, each
+    walked once.  The signed sum of case p is ``_signed`` of levels p and
+    p - 1, so level p - 1 of case p is level p of case p - 1, and one ladder
+    serves every p <= pmax.  pmax must not exceed |work| / 2."""
+    return [_level(work, mus) for mus in shrink(work, pmax)]
 
 
 def _coeff_levels(
@@ -149,7 +146,7 @@ def _coeff_levels(
 def oracle_tworow_signed_coeff(n: int, p: int, lam: Partition, nu: Partition) -> int:
     """Single coefficient of s_nu in s_{(n-p,p)} * s_lam: the same signed sum
     in count mode, one walk of at most p cells per mu inside lam & nu, on the
-    wider of lam and its conjugate."""
+    wider of lam and its conjugate (module docstring)."""
     lam, nu = check_tworow_args(n, p, lam, nu)
     asked = nu
     if len(lam) > part(lam, 1):

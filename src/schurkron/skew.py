@@ -60,8 +60,8 @@ def skew_expand(lam: Partition, mu: Partition) -> SchurExpansion:
         # constraints from the filling position (the Remark's bounds) ...
         l_min = i
         m_min = mu[i - 1] - j + 1
-        m_max = 10**9
-        l_max = 10**9
+        m_max = lam[0]
+        l_max = len(lam)
         # ... strictly left of and weakly below the left neighbour ...
         if j > 1:
             pl, pm = placed[filling[i - 1][j - 2]]

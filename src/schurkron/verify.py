@@ -8,11 +8,11 @@ identical either way.
 
 The formulas suite's checks take one case each and return a mismatch string
 or None.  The theorem and oracles suites compare with the signed sum, which
-walks the wider of lam and its conjugate, work, and whose levels are shared:
-level p - 1 of case p is level p of case p - 1, and lam and its conjugate
-walk the same work.  So their cases, (n, p, lam) triples, are grouped by
-(n, work), and one task checks a group from one ``oracle._signed_ladder``
-of work, which walks each level once; the theorem suite's ladder stops at
+walks work, the wider of lam and its conjugate (``oracle``'s module
+docstring), so lam and its conjugate share its levels, and so do all p
+(``oracle._signed_ladder``).  Their cases, (n, p, lam) triples, are grouped
+by (n, work), and one task checks a group from one ladder of work, each
+shape signed by ``oracle._signed``; the theorem suite's ladder stops at
 the largest p on the rule's routes, (work_1 + 1) // 2, where both lam and
 its conjugate leave them.  The count is still of triples, and the
 mismatches are sorted back into the grid's (n, p, lam) order.
@@ -24,7 +24,6 @@ import os
 from itertools import chain
 from typing import Iterator
 
-from .expansion import SchurExpansion
 from .formulas import (
     hook_coeff,
     nu_double_pair_coeff,
@@ -34,7 +33,7 @@ from .formulas import (
     tworow_tworow_coeff,
 )
 from .kronecker import kron_coeff, kron_expand_tworow, two_row
-from .oracle import _check_char_n, _signed_ladder, oracle_character_kron
+from .oracle import _check_char_n, _signed, _signed_ladder, oracle_character_kron
 from .partitions import DomainError, Partition, conjugate, enumerate_partitions, part
 
 
@@ -85,27 +84,15 @@ def _check_grid(nmax: int, pmax: int) -> None:
         raise DomainError(f"grid bounds must be >= 0, got NMAX = {nmax}, PMAX = {pmax}")
 
 
-def _grid(nmax: int, pmax: int) -> list[tuple[int, int, Partition]]:
-    """Every (n, p, lam) with 1 <= n <= nmax, 0 <= p <= min(pmax, n/2) and
-    lam |- n, in that order."""
-    return [
-        (n, p, lam)
-        for n in range(1, nmax + 1)
-        for p in range(0, min(pmax, n // 2) + 1)
-        for lam in enumerate_partitions(n)
-    ]
-
-
 def _signed_cases(n: int, work: Partition, lams: tuple, top: int) -> Iterator[tuple]:
     """(p, lam, the signed sum for (n, p, lam)) for p = 0..top and each lam
-    of lams, work and maybe its conjugate after it, from one
-    ``_signed_ladder`` of work: each level is walked once for every p and
-    both shapes.  The conjugate's terms are conjugated, as
-    ``oracle_tworow_signed_sum`` does."""
-    for p, signed in enumerate(_signed_ladder(work, top)):
-        yield p, work, signed
-        for lam in lams[1:]:
-            yield p, lam, SchurExpansion({conjugate(nu): c for nu, c in signed.as_dict().items()})
+    of lams, work and maybe its conjugate after it: ``_signed`` of levels p
+    and p - 1 of one ``_signed_ladder`` of work, as
+    ``oracle_tworow_signed_sum`` signs and transposes them."""
+    levels = _signed_ladder(work, top)
+    for p in range(top + 1):
+        for lam in lams:
+            yield p, lam, _signed(levels[p], levels[p - 1] if p else {}, lam != work)
 
 
 def _check_theorem(n: int, work: Partition, lams: tuple, top: int) -> list[tuple]:
@@ -170,14 +157,15 @@ def _check_p1(lam: Partition) -> str | None:
 
 
 def _by_work(check, nmax: int, pmax: int, on_rule: bool) -> tuple[int, list[str]]:
-    """(cases, mismatches) of a check of the (n, p, lam) of ``_grid``, or of
-    those on the rule's routes, grouped by (n, work), work the wider of lam
-    and its conjugate.  One task ``check(n, work, lams, top)`` per group
-    checks each lam of lams at p = 0..top and returns a list of (case,
-    mismatch string); the largest n go first, so that the longest tasks
-    start first.  On the rule's routes lam_1 >= 2p - 1 or l(lam) >= 2p - 1,
-    that is work_1 >= 2p - 1, so top stops at (work_1 + 1) // 2 for both
-    lam.  Mismatches come in ``_grid`` order."""
+    """(cases, mismatches) of a check of every (n, p, lam) with
+    1 <= n <= nmax, 0 <= p <= min(pmax, n/2) and lam |- n, or of those on
+    the rule's routes, grouped by (n, work), work the wider of lam and its
+    conjugate.  One task ``check(n, work, lams, top)`` per group checks each
+    lam of lams at p = 0..top and returns a list of (case, mismatch string);
+    the largest n go first, so that the longest tasks start first.  On the
+    rule's routes lam_1 >= 2p - 1 or l(lam) >= 2p - 1, that is
+    work_1 >= 2p - 1, so top stops at (work_1 + 1) // 2 for both lam.
+    Mismatches come in grid order: n, then p, then lam."""
     tasks, cases = [], 0
     for n in range(nmax, 0, -1):
         for work in enumerate_partitions(n):
@@ -188,10 +176,9 @@ def _by_work(check, nmax: int, pmax: int, on_rule: bool) -> tuple[int, list[str]
             tasks.append((check, (n, work, lams, top)))
             cases += len(lams) * (top + 1)
     _, found = _run(tasks)
-    if not found:
-        return cases, []
-    position = {case: i for i, case in enumerate(_grid(nmax, pmax))}
-    return cases, [m for _, m in sorted(chain(*found), key=lambda f: position[f[0]])]
+    # n and p ascending, then lam in descending lex order, as enumerate_partitions lists it
+    found = sorted(chain(*found), key=lambda f: (f[0][:2], [-x for x in f[0][2]]))
+    return cases, [m for _, m in found]
 
 
 def suite_theorem(nmax: int, pmax: int) -> tuple[int, list[str]]:

@@ -163,6 +163,15 @@ class TestOtherCommands:
         assert rc == 0
         assert out.splitlines()[1:] == ["3,2,2 : 1"]
 
+    @pytest.mark.parametrize(
+        "lam, terms",
+        [("1000000001,1", ["1000000001 : 1", "1000000000,1 : 1"]), ("2000000000", ["1999999999 : 1"])],
+    )
+    def test_skew_parts_past_a_billion(self, lam, terms):
+        rc, out, _ = run_cli("skew", lam, "1")
+        assert rc == 0
+        assert out.splitlines()[1:] == terms
+
     def test_skew_with_many_labels(self):
         rc, out, err = run_cli("skew", "1100", "1050")
         assert rc == 0 and "Traceback" not in err

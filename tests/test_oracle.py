@@ -238,7 +238,7 @@ class TestSignedSum:
 
     def test_ladder_is_the_signed_sum_at_every_p(self, monkeypatch):
         # each level of shrink(work, pmax) is walked once, one walk per mu,
-        # for every p <= pmax
+        # and signing levels p and p - 1 gives the signed sum for every p <= pmax
         walks = []
         fill = oracle._expand_fillings
 
@@ -254,8 +254,11 @@ class TestSignedSum:
                 walks.clear()
                 ladder = oracle._signed_ladder(work, n // 2)
                 assert len(walks) == sum(map(len, shrink(work, n // 2))), work
-                for p, signed in enumerate(ladder):
+                previous = {}
+                for p, level in enumerate(ladder):
+                    signed = oracle._signed(level, previous, False)
                     assert signed == oracle_tworow_signed_sum(n, p, work), (p, work)
+                    previous = level
 
     def test_deep_single_coefficients(self):
         # shapes far deeper than the recursion limit; each walk has <= p cells

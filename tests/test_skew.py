@@ -35,6 +35,12 @@ class TestSkewExpand:
     def test_rectangle_minus_column(self):
         assert skew_expand((3, 3, 3), (1, 1)).as_dict() == {(3, 2, 2): 1}
 
+    def test_parts_past_a_billion(self):
+        # the placement bounds come from the outer shape, so no part is too long
+        assert skew_expand((2000000000,), (1,)).as_dict() == {(1999999999,): 1}
+        got = skew_expand((1000000001, 1), (1,))
+        assert got.as_dict() == {(1000000001,): 1, (1000000000, 1): 1}
+
     def test_rejects_non_contained(self):
         with pytest.raises(DomainError):
             skew_expand((2, 2), (3,))

@@ -6,9 +6,20 @@ import pytest
 from schurkron import verify
 from schurkron.expansion import SchurExpansion
 from schurkron.kronecker import METHOD_ORACLE, _route
-from schurkron.partitions import conjugate, part
+from schurkron.partitions import conjugate, enumerate_partitions, part
 
 EMPTY = SchurExpansion({})
+
+
+def grid(nmax, pmax):
+    """Every (n, p, lam) of a verify grid, in the order the suites report."""
+    return [
+        (n, p, lam)
+        for n in range(1, nmax + 1)
+        for p in range(0, min(pmax, n // 2) + 1)
+        for lam in enumerate_partitions(n)
+    ]
+
 
 # the grouped checks take (n, work, lams, top) and report (case, message)
 # pairs for p = 0..top; this group holds lam = (3, 1) and its conjugate
@@ -18,7 +29,7 @@ CASES = [(4, 0, (3, 1)), (4, 0, (2, 1, 1)), (4, 1, (3, 1)), (4, 1, (2, 1, 1))]
 # check -> (its arguments, the engine it compares, a wrong answer, the message)
 MISMATCHES = {
     "theorem": (
-        verify._check_theorem, GROUP, "_signed_ladder", [EMPTY] * 2,
+        verify._check_theorem, GROUP, "_signed_ladder", [{}] * 2,
         list(zip(CASES, [
             "n=4 p=0 lam=(3, 1): rule (tableau_rule) != signed oracle",
             "n=4 p=0 lam=(2, 1, 1): rule (tableau_rule) != signed oracle",
@@ -70,16 +81,31 @@ def test_run_keeps_mismatches_in_task_order(monkeypatch):
 def test_grouped_suites_report_mismatches_in_grid_order(workers, monkeypatch):
     # every case fails; the pool forks, so its workers inherit the patches
     monkeypatch.setenv("SCHURKRON_WORKERS", workers)
-    monkeypatch.setattr(verify, "_signed_ladder", lambda work, pmax: [EMPTY] * (pmax + 1))
-    grid = verify._grid(8, 3)
-    rule = [(n, p, lam) for n, p, lam in grid if _route(p, lam)[0] != METHOD_ORACLE]
+    monkeypatch.setattr(verify, "_signed_ladder", lambda work, pmax: [{}] * (pmax + 1))
+    cases = grid(8, 3)
+    rule = [(n, p, lam) for n, p, lam in cases if _route(p, lam)[0] != METHOD_ORACLE]
     want = [f"n={n} p={p} lam={lam}: rule ({_route(p, lam)[0]}) != signed oracle" for n, p, lam in rule]
     assert verify.suite_theorem(8, 3) == (len(rule), want)
     monkeypatch.undo()
     monkeypatch.setenv("SCHURKRON_WORKERS", workers)
     monkeypatch.setattr(verify, "oracle_character_kron", lambda *_: EMPTY)
-    want = [f"n={n} p={p} lam={lam}: signed oracle != character oracle" for n, p, lam in grid]
-    assert verify.suite_oracles(8, 3) == (len(grid), want)
+    want = [f"n={n} p={p} lam={lam}: signed oracle != character oracle" for n, p, lam in cases]
+    assert verify.suite_oracles(8, 3) == (len(cases), want)
+
+
+def test_each_shape_is_signed_once_by_the_oracle(monkeypatch):
+    # work and its conjugate at each p: the conjugate is transposed by
+    # oracle._signed, as oracle_tworow_signed_sum does, and by nothing else
+    calls = []
+    signed = verify._signed
+
+    def logged(top, below, tall):
+        calls.append(tall)
+        return signed(top, below, tall)
+
+    monkeypatch.setattr(verify, "_signed", logged)
+    assert verify._check_theorem(*GROUP) == []
+    assert calls == [False, True, False, True]
 
 
 @pytest.mark.parametrize(
@@ -105,7 +131,7 @@ def test_grouped_suites_check_every_case_once(suite, nmax, pmax, cases, monkeypa
 
     monkeypatch.setattr(verify, f"_check_{suite}", check)
     assert verify.SUITES[suite](nmax, pmax) == (cases, [])
-    grid = verify._grid(nmax, pmax)
+    want = grid(nmax, pmax)
     if suite == "theorem":
-        grid = [(n, p, lam) for n, p, lam in grid if _route(p, lam)[0] != METHOD_ORACLE]
-    assert sorted(seen) == sorted(grid) and len(grid) == cases
+        want = [(n, p, lam) for n, p, lam in want if _route(p, lam)[0] != METHOD_ORACLE]
+    assert sorted(seen) == sorted(want) and len(want) == cases

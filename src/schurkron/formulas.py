@@ -22,6 +22,7 @@ from .partitions import (
     check_integers,
     check_partition,
     check_tworow_args,
+    intersect,
     part,
     removable_rows,
     remove_box,
@@ -175,7 +176,12 @@ def hook_coeff(n: int, p: int, s: int, nu: Partition) -> int:
     if n - s < 2 * p - 1:
         raise DomainError(f"need n-s >= 2p-1, got n-s={n - s}, p={p}")
     if p == 1:
-        return p1_expand(_hook_of(n, s))[nu]
+        # p1_expand's rule at one nu: a box moved from a corner to a free
+        # cell, so #corners - 1 at the hook itself and 1 at one box away
+        hook = _hook_of(n, s)
+        if nu == hook:
+            return len(removable_rows(hook)) - 1
+        return int(sum(intersect(hook, nu)) == n - 1)
 
     parsed = _parse_double_hook(nu)
     if parsed is None:

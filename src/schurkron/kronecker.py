@@ -19,8 +19,9 @@ makes that choice, for the full expansion and for the capped one behind
 ``is_multiplicity_free``, and hands the rule's alpha-loop to
 ``tableaux._fill_alphas``.  A single coefficient comes from one table per
 query on every route: ``_alpha_bound`` walks lam/mu and nu/mu, at most p
-cells each, for the mu of the signed sum's two levels, and reads both the
-value and the bound from the L_alpha those walks give.  For one nu that is
+cells each, for the mu of the signed sum's two levels, on the wider of
+(lam, nu) and (lam', nu') as the ``oracle`` docstring says, and reads both
+the value and the bound from the L_alpha those walks give.  For one nu that is
 far less work than the rule, and the walks do not deepen with n.  The
 method tag still names the theorem that makes the value exact.
 ``_rule_coeff`` keeps the rule's own single coefficient, and
@@ -111,16 +112,16 @@ first.  An L-walk of a query has at most p cells, and there are 401
 distinct cell lists of at most 6 cells (1, 1, 3, 9, 28, 87 and 272 with 0
 to 6 cells), so 512 keeps every L-walk of every query with p <= 6, at any
 n.  ``python tools/walk_memo.py SEED`` replays one coeff-stream round
-(p <= 6, n up to 2000); on seeds 1, 7 and 101 it prints "hits 19351 /
-19487 / 20007 misses 383", "distinct keys 383, naming 383 lists" and
-"traced bytes held 169048" each, 0.16 MiB.  The worst case is 512 times
-the largest entry.  A row key is a few small tuples per row, whatever the
-row's length, so an entry is almost all walk.  The walk of
+(p <= 6, n up to 2000); on seeds 1, 7 and 101 it prints "hits 19358 /
+19494 / 20014 misses 376", "distinct keys 376, naming 376 lists" and
+"traced bytes held 157688 / 157632 / 160544", 0.15 MiB.  The worst case
+is 512 times the largest entry.  A row key is a few small tuples per row,
+whatever the row's length, so an entry is almost all walk.  The walk of
 (1200, 600)/(600,), two rows of 600 cells and about as long as a query
-walks in seconds (2.1 s on a 2-core Xeon with Python 3.11), has 601 types
-and holds 149,912 traced bytes with its key, about 250 bytes a type; its
-cell list alone holds 106,280.  512 such entries would hold about
-75 MiB."""
+walks in seconds (2.0 s on a 2-core Xeon with Python 3.11), has 601 types
+and holds 138,280 traced bytes with its key, about 230 bytes a type; its
+cell list alone holds 106,872.  512 such entries would hold about
+70 MiB."""
 
 
 @lru_cache(maxsize=WALK_CACHE)
@@ -131,7 +132,7 @@ def _lr_walk(key: tuple[tuple[int, ...], ...]) -> dict[Partition, int]:
     return _fill(_key_cells(key), ())
 
 
-def _lr_squares(lam: Partition, nu: Partition, mus: set[Partition]) -> dict[Partition, int]:
+def _lr_squares(lam: Partition, nu: Partition, mus: list[Partition]) -> dict[Partition, int]:
     """{alpha: sum over mu in mus of c^lam_{mu alpha} c^nu_{mu alpha}}, from
     the unshifted walks of lam/mu and nu/mu, kept by row key in ``_lr_walk``:
     a shape met again, on either side, for another mu or in a later query,
@@ -194,31 +195,52 @@ def _alpha_bound(lam: Partition, nu: Partition, p: int) -> tuple[int, int]:
     lam & nu.  Unshifted walks of lam/mu and nu/mu, at most p cells each,
     give these numbers for every a at once; the mu of size n-p+1 give the
     L_b for b |- p-1, the L_{a-} among them, and both levels are always
-    read.  The walks are kept by row key in ``_lr_walk``, across levels,
-    sides and queries; a query walks only the shapes no earlier query left
+    read.  Both levels come from the wider of (lam, nu) and (lam', nu'),
+    as in the ``oracle`` docstring: L_a of (lam, nu) is L_{a'} of
+    (lam', nu'), since the involution s_k -> s_k' is an isometry that maps
+    s_a s_{lam/a} to s_{a'} s_{lam'/a'}, so a tall query reads its table
+    under the keys a' and shares its walks with the wide queries.
+    The walks are kept by row key in ``_lr_walk``, across levels, sides
+    and queries; a query walks only the shapes no earlier query left
     there.  The coefficient is the sum of the table's top level minus the
     sum of its lower one: summed over a |- p, the L_a give <sum over a of
-    s_a s_{lam/a}, s_nu>, the first half of the signed sum in the ``oracle``
-    docstring, and the L_b give its second half.  A negative result raises
-    InvariantError.  Kronecker tableaux are a-lattice SSYT, so an a with
-    L_a = 0 adds nothing to the bound.  Only the a left, with
-    a_1 > a_2 and 2 a_1 - 1 > lam_1, walk their Kronecker tableaux of lam/a,
-    which have n - p cells.  On the rows route no a is left and the bound is
-    the coefficient.
+    s_a s_{lam/a}, s_nu>, the first half of the signed sum in the
+    ``oracle`` docstring, and the L_b give its second half.  A negative
+    result raises InvariantError, naming nu as asked.
+
+    The bound reads each a in lam's frame without conjugating it: under a
+    key a', a_1 = l(a'), a_2 is the number of parts of a' that are >= 2,
+    and when a_1 > a_2 the last part of a' is 1 and a-' is a' without it.
+    Kronecker tableaux are a-lattice SSYT, so K_a <= L_a, and an a with
+    L_a = 0 adds nothing.  With L_a - L_{a-} <= K_a, an a with L_{a-} = 0
+    has K_a = L_a.  And when lam_1 - a_1 < a_1 - a_2 and lam_2 < a_1, row 1
+    of lam/a is too short for a_1 - a_2 2's and lam has no box (2, a_1),
+    so K_a = 0.  Only the a left, with a_1 > a_2, 2 a_1 - 1 > lam_1 and
+    L_{a-} > 0, walk their Kronecker tableaux of lam/a, on lam as asked,
+    which have n - p cells.  On the rows route no a is left and the bound
+    is the coefficient.
     """
-    top, below = _coeff_levels(lam, nu, p)
-    upper, lower = _lr_squares(lam, nu, top), _lr_squares(lam, nu, below)
+    tall = len(lam) > part(lam, 1)
+    wide, wide_nu = (conjugate(lam), conjugate(nu)) if tall else (lam, nu)
+    top, below = _coeff_levels(wide, wide_nu, p)
+    upper, lower = _lr_squares(wide, wide_nu, top), _lr_squares(wide, wide_nu, below)
     value = sum(upper.values()) - sum(lower.values())
     if value < 0:
         raise InvariantError(f"signed sum went negative at {nu}: {value}")
     bound = 0
-    for alpha, count in upper.items():
-        a1 = part(alpha, 1)
-        if a1 == part(alpha, 2):
-            bound += count
-        elif lam[0] >= 2 * a1 - 1:
-            bound += count - lower.get(remove_box(alpha, 0), 0)
+    for key, count in upper.items():
+        if tall:
+            a1, a2 = len(key), len(key) - key.count(1)
         else:
+            a1, a2 = part(key, 1), part(key, 2)
+        if a1 == a2:
+            bound += count
+            continue
+        less = lower.get(key[:-1] if tall else remove_box(key, 0), 0)
+        if not less or lam[0] >= 2 * a1 - 1:
+            bound += count - less
+        elif lam[0] - a1 >= a1 - a2 or part(lam, 2) >= a1:
+            alpha = conjugate(key) if tall else key
             bound += _count_fillings(lam, alpha, nu, alpha, True)
     return value, bound
 

@@ -23,7 +23,7 @@ l(mu) + 1, so both walk the wider of lam and its conjugate, the
 coefficient with nu conjugated too and the expansion with its terms
 conjugated back, which leaves every g unchanged, since
 g_{(n-p,p),lam',nu'} = g_{(n-p,p),lam,nu}.  ``kronecker.kron_coeff`` reads
-its values from its own table of the same levels
+its values from its own table of the same levels on the same side
 (``kronecker._alpha_bound``), so this count-mode coefficient, which is
 uncached, is an independent check of it.
 
@@ -132,15 +132,16 @@ def _signed_ladder(work: Partition, pmax: int) -> list[dict[Partition, int]]:
 
 def _coeff_levels(
     lam: Partition, nu: Partition, p: int
-) -> tuple[set[Partition], set[Partition]]:
-    """The mu |- n-p and the mu |- n-p+1 inside lam & nu, for lam, nu |- n;
-    a single coefficient of s_nu only meets walks of lam/mu for these mu."""
+) -> tuple[list[Partition], list[Partition]]:
+    """The mu |- n-p and the mu |- n-p+1 inside lam & nu, for lam, nu |- n,
+    each once; a single coefficient of s_nu only meets walks of lam/mu for
+    these mu, and only these two levels of ``shrink`` are listed."""
     inter = intersect(lam, nu)
     surplus = sum(inter) - (sum(lam) - p)
     if surplus < 0:
-        return set(), set()
-    levels = shrink(inter, surplus)
-    return levels[surplus], levels[surplus - 1] if surplus else set()
+        return [], []
+    levels = shrink(inter, surplus, max(surplus - 1, 0))
+    return levels[-1], levels[0] if surplus else []
 
 
 def oracle_tworow_signed_coeff(n: int, p: int, lam: Partition, nu: Partition) -> int:

@@ -84,13 +84,15 @@ def part(lam: Partition, i: int) -> int:
 
 
 def conjugate(lam: Partition) -> Partition:
-    """Transpose of the Young diagram (column lengths)."""
-    if not lam:
-        return ()
-    cols = [0] * lam[0]
-    for row in lam:
-        for c in range(row):
-            cols[c] += 1
+    """Transpose of the Young diagram (column lengths): read bottom-up, row
+    i adds lam_i - lam_{i+1} columns of length i, one list step per row."""
+    cols: list[int] = []
+    below = 0
+    for i in range(len(lam), 0, -1):
+        row = lam[i - 1]
+        if row > below:
+            cols += [i] * (row - below)
+            below = row
     return tuple(cols)
 
 
@@ -180,16 +182,54 @@ def remove_box(lam: Partition, row: int) -> Partition:
     return tuple(new)
 
 
-def shrink(lam: Partition, k: int) -> list[set[Partition]]:
-    """Levels 0..k: level j holds every partition inside lam with j fewer
-    boxes, reached by removing one corner at a time (k loops, no recursion,
-    however many rows lam has)."""
-    levels = [{lam}]
-    for _ in range(k):
-        levels.append(
-            {remove_box(mu, r) for mu in levels[-1] for r in removable_rows(mu)}
-        )
-    return levels
+def shrink(lam: Partition, k: int, low: int = 0) -> list[list[Partition]]:
+    """Levels low..k, for 0 <= low <= k: level j lists, once each, the
+    partitions inside lam with j fewer boxes.
+
+    One walk on an explicit stack, with no recursion and no set.  It
+    decides the rows bottom-up, row i losing at most lam_i - mu_{i+1} boxes
+    and at most what is left of k, and keeps the rows decided as one tuple,
+    ``below``.  A row that keeps its part fixes every row above it up to the
+    next longer part, so the walk jumps there.  A branch ends at the top, or
+    where k boxes are gone, and builds mu only if its level was asked for;
+    at row 0 every loss ends one.  Each choice of losses is a different mu,
+    so each mu is reached once."""
+    rows = len(lam)
+    levels: list[list[Partition]] = [[] for _ in range(low, k + 1)]
+    # up[i]: the nearest row above row i with a longer part, -1 for none
+    up, corner = [], -1
+    for i in range(rows):
+        up.append(corner)
+        if i + 1 < rows and lam[i] > lam[i + 1]:
+            corner = i
+    # (row, boxes lost below it, the rows below it, its next loss to try)
+    frames: list[tuple[int, int, Partition, int]] = []
+    i, lost, below = rows - 1, 0, ()
+    while True:
+        # enter row i, the rows below it decided
+        if i < 0 or lost == k:
+            if lost >= low:
+                levels[lost - low].append(lam[: i + 1] + below)
+        elif i:
+            top = lam[i] - (below[0] if below else 0)
+            frames.append((i, lost, below, top if top < k - lost else k - lost))
+        else:
+            first = lam[0]
+            top = first - (below[0] if below else 0)
+            for r in range(low - lost if lost < low else 0, (top if top < k - lost else k - lost) + 1):
+                levels[lost + r - low].append((first - r,) + below if r < first else below)
+        if not frames:
+            return levels
+        # take the next loss, one fewer, of the last row with a loss left
+        i, lost, below, r = frames.pop()
+        if r:
+            frames.append((i, lost, below, r - 1))
+            lost += r
+            if r < lam[i]:
+                below = (lam[i] - r,) + below
+            i -= 1
+        else:
+            i, below = up[i], lam[up[i] + 1 : i + 1] + below
 
 
 def add_box(lam: Partition, row: int) -> Partition:

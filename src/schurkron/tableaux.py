@@ -546,8 +546,12 @@ def count_ssyt_alpha_lattice(
 
 
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Littlewood-Richardson coefficient c^lam_{mu nu}."""
+    """Littlewood-Richardson coefficient c^lam_{mu nu}: the lattice fillings
+    of lam/mu of type nu, or of lam/nu of type mu (c^lam_{mu nu} =
+    c^lam_{nu mu}), whichever shape has fewer cells."""
     lam, mu, nu = (check_partition(shape) for shape in (lam, mu, nu))
-    if sum(lam) != sum(mu) + sum(nu) or not contains(mu, lam):
+    if sum(lam) != sum(mu) + sum(nu) or not (contains(mu, lam) and contains(nu, lam)):
         return 0
+    if sum(mu) < sum(nu):
+        mu, nu = nu, mu
     return _count_fillings(lam, mu, nu, (), False)

@@ -226,6 +226,19 @@ class TestHookCoeff:
         with pytest.raises(DomainError):
             hook_coeff(10, 4, 4, (7, 1, 1, 1))
 
+    def test_p1_reads_the_intersection(self, monkeypatch):
+        # one coefficient from hook & nu, no expansion; p1_expand is the reference
+        from schurkron import formulas
+
+        expansions = {(n, s): p1_expand(hook(n, s)) for n in range(2, 15) for s in range(1, n)}
+        monkeypatch.setattr(formulas, "p1_expand", None)
+        for (n, s), expansion in expansions.items():
+            for nu in enumerate_partitions(n):
+                assert hook_coeff(n, 1, s, nu) == expansion[nu], (n, s, nu)
+        assert hook_coeff(2000, 1, 1000, hook(2000, 1000)) == 1
+        assert hook_coeff(2000, 1, 1000, hook(2000, 999)) == 1
+        assert hook_coeff(2000, 1, 1000, hook(2000, 998)) == 0
+
     def test_grid_matches_rule(self):
         for n in range(2, 12):
             for p in range(1, min(4, n // 2) + 1):

@@ -502,6 +502,35 @@ class TestAlphaBound:
         assert _alpha_bound(lam, nu, p)[1] == _tableau_sum(lam, nu, p)
         assert kron_upper_bound(p, lam, nu) == _tableau_sum(lam, nu, p)
 
+    def test_decided_hard_alphas_are_not_walked(self, fill_walks):
+        # a hard alpha (a_1 > a_2, 2 a_1 - 1 > lam_1, L_a > 0) walks its
+        # Kronecker tableaux only when neither L_{a-} = 0 nor the shape
+        # (lam_1 - a_1 < a_1 - a_2 and lam_2 < a_1) decides K_a
+        clear_caches()
+        walked = hard = 0
+        for n in range(1, 11):
+            shapes = list(enumerate_partitions(n))
+            for p in range(1, n // 2 + 1):
+                for lam in shapes:
+                    for nu in shapes:
+                        fill_walks.clear()
+                        kron_coeff(n, p, lam, nu)
+                        walks = [alpha for _, alpha, kron in fill_walks if kron]
+                        walked += len(walks)
+                        for alpha in enumerate_partitions(p, inside=intersect(lam, nu)):
+                            a1, a2 = part(alpha, 1), part(alpha, 2)
+                            if a1 == a2 or lam[0] >= 2 * a1 - 1:
+                                continue
+                            if not _count_fillings(lam, alpha, nu, alpha, False):
+                                continue
+                            hard += 1
+                            minus = (a1 - 1, *alpha[1:])
+                            decided = not _count_fillings(lam, minus, nu, minus, False) or (
+                                lam[0] - a1 < a1 - a2 and part(lam, 2) < a1
+                            )
+                            assert walks.count(alpha) == (not decided), (p, lam, nu, alpha)
+        assert 0 < walked < hard
+
     def test_deep_conjugate_query(self):
         # only alpha = (1, 1) fits, which the lemma takes from 2-cell walks;
         # the rule's count walks 1198 cells
@@ -638,6 +667,21 @@ def _coeff_queries(draw):
         return n, p, lam, lam
     near = [nu for nu in shapes if sum(intersect(lam, nu)) >= n - p]
     return n, p, lam, draw(st.sampled_from(near))
+
+
+class TestTallQueries:
+    """A tall query reads the table of (lam', nu'), the wider side."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(query=_coeff_queries())
+    def test_tall_query_is_its_conjugate(self, query):
+        # a tall lam reads the table of (lam', nu'); the bound stays lam's own
+        n, p, lam, nu = query
+        assume(len(lam) > part(lam, 1))
+        got = kron_coeff(n, p, lam, nu)
+        assert got.value == kron_coeff(n, p, conjugate(lam), conjugate(nu)).value
+        assert got.value == oracle_tworow_signed_coeff(n, p, lam, nu)
+        assert got.upper_bound == _tableau_sum(lam, nu, p)
 
 
 class TestWalkMemo:

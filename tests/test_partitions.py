@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurkron import (
     DomainError,
@@ -38,6 +40,19 @@ class TestConjugate:
     def test_involution(self):
         for lam in all_partitions_up_to(9):
             assert conjugate(conjugate(lam)) == lam
+
+    def test_is_the_box_by_box_transpose(self):
+        # column c holds one box for each row of length > c
+        for lam in all_partitions_up_to(14):
+            cols = [0] * part(lam, 1)
+            for row in lam:
+                for c in range(row):
+                    cols[c] += 1
+            assert conjugate(lam) == tuple(cols), lam
+
+    def test_long_rows_by_runs(self):
+        assert conjugate((1000, 1000)) == (2,) * 1000
+        assert conjugate((1000,) + (1,) * 999) == (1000,) + (1,) * 999
 
 
 class TestContains:
@@ -152,6 +167,25 @@ class TestEnumerate:
         assert list(enumerate_partitions(1200, inside=(1,) * 1200)) == [(1,) * 1200]
 
 
+def _check_levels(lam, k, low):
+    """shrink(lam, k, low) lists each mu once, and exactly the partitions
+    inside lam with j fewer boxes at level j, for j = low..k."""
+    levels = shrink(lam, k, low)
+    assert len(levels) == k - low + 1
+    for j, level in enumerate(levels, low):
+        assert len(level) == len(set(level)), (lam, j)
+        want = set(enumerate_partitions(sum(lam) - j, inside=lam)) if j <= sum(lam) else set()
+        assert set(level) == want, (lam, j)
+
+
+@st.composite
+def _shrink_calls(draw):
+    n = draw(st.integers(0, 18))
+    lam = draw(st.sampled_from(list(enumerate_partitions(n))))
+    k = draw(st.integers(0, n + 1))
+    return lam, k, draw(st.integers(0, k))
+
+
 class TestShrink:
     def test_levels_are_the_contained_partitions(self):
         for lam in all_partitions_up_to(9):
@@ -160,15 +194,36 @@ class TestShrink:
             assert len(levels) == n + 1
             for j, level in enumerate(levels):
                 expected = {mu for mu in enumerate_partitions(n - j) if contains(mu, lam)}
-                assert level == expected, (lam, j)
+                assert set(level) == expected, (lam, j)
+                assert len(level) == len(expected), (lam, j)
+
+    def test_only_the_levels_asked_for(self):
+        for lam in all_partitions_up_to(8):
+            for k in range(sum(lam) + 2):
+                for low in range(k + 1):
+                    _check_levels(lam, k, low)
+
+    @settings(max_examples=200, deadline=None)
+    @given(call=_shrink_calls())
+    def test_each_mu_once_random(self, call):
+        _check_levels(*call)
+
+    @pytest.mark.parametrize(
+        "lam, k, low",
+        [((1,) * 1200, 3, 0), ((1,) * 1200, 6, 5), ((1000,) + (1,) * 999, 5, 4), ((1000,) + (1,) * 999, 3, 0)],
+    )
+    def test_deep_shapes_each_mu_once(self, lam, k, low):
+        _check_levels(lam, k, low)
 
     def test_deep_shapes(self):
-        # one loop per removed box, none per row
+        # the walk jumps over rows that cannot change, however many there are
         column = (1,) * 1200
-        assert shrink(column, 3)[3] == {(1,) * 1197}
+        assert shrink(column, 3)[3] == [(1,) * 1197]
+        assert shrink(column, 3, 3) == [[(1,) * 1197]]
         levels = shrink((5, 4) + column, 2)
-        assert levels[1] == {(4, 4) + column, (5, 3) + column, (5, 4) + (1,) * 1199}
-        assert len(levels[2]) == 5
+        assert set(levels[1]) == {(4, 4) + column, (5, 3) + column, (5, 4) + (1,) * 1199}
+        assert len(levels[1]) == 3
+        assert len(levels[2]) == len(set(levels[2])) == 5
 
 
 class TestConstructionAndText:

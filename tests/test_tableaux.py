@@ -236,6 +236,22 @@ class TestLrCoefficient:
         # one filling of 5000 cells: the walk keeps no frame per cell
         assert lr_coefficient((6000,), (1000,), (5000,)) == 1
 
+    def test_walks_the_smaller_skew_shape(self, fill_walks):
+        # lam/nu has one cell, where lam/mu would have 1999999999
+        assert lr_coefficient((2000000000,), (1,), (1999999999,)) == 1
+        assert [len(cells) for cells, _, _ in fill_walks] == [1]
+        assert lr_coefficient((2000000000, 1), (1, 1), (1999999999,)) == 1
+
+    def test_is_the_walk_of_lam_over_mu(self):
+        # the walk of lam/mu of type nu, the route before the smaller shape
+        for n in range(0, 11):
+            for lam in enumerate_partitions(n):
+                for msize in range(n + 1):
+                    for mu in enumerate_partitions(msize, inside=lam):
+                        for nu in enumerate_partitions(n - msize):
+                            want = _count_fillings(lam, mu, nu, (), False)
+                            assert lr_coefficient(lam, mu, nu) == want, (lam, mu, nu)
+
     def test_symmetry_and_conjugation(self):
         for n in range(1, 8):
             for lam in enumerate_partitions(n):

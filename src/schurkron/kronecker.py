@@ -9,7 +9,9 @@ and nu; when l(lam) >= 2p-1 the same rule applies to the conjugates.  Outside
 both ranges the signed-sum oracle is used, and the alpha-sum is still an
 upper bound.  That bound mostly comes from the per-alpha lemma of
 ``_alpha_bound``, whose walks have at most p cells; only an alpha with
-alpha_1 > alpha_2 and 2 alpha_1 - 1 > lam_1 walks its Kronecker tableaux.
+alpha_1 > alpha_2 and 2 alpha_1 - 1 > max(lam_1, nu_1), whose type nu leaves
+room for a Kronecker tableau, walks its Kronecker tableaux, and none does
+when nu_1 >= 2p-1.
 
 The full expansion runs the rule, whose walk of lam/alpha has n - p cells;
 above RULE_MAX_CELLS of them it takes the signed sum instead, whose walks
@@ -114,7 +116,7 @@ to 6 cells), so 512 keeps every L-walk of every query with p <= 6, at any
 n.  ``python tools/walk_memo.py SEED`` replays one coeff-stream round
 (p <= 6, n up to 2000); on seeds 1, 7 and 101 it prints "hits 19358 /
 19494 / 20014 misses 376", "distinct keys 376, naming 376 lists" and
-"traced bytes held 157688 / 157632 / 160544", 0.15 MiB.  The worst case
+"traced bytes held 157744 / 157688 / 160544", 0.15 MiB.  The worst case
 is 512 times the largest entry.  A row key is a few small tuples per row,
 whatever the row's length, so an entry is almost all walk.  The walk of
 (1200, 600)/(600,), two rows of 600 cells and about as long as a query
@@ -156,7 +158,7 @@ def _alpha_bound(lam: Partition, nu: Partition, p: int) -> tuple[int, int]:
     for a with one box taken off row 1 (``remove_box(a, 0)``).  Then
 
         K_a = L_a           when a_1 == a_2,
-        K_a = L_a - L_{a-}  when a_1 > a_2 and lam_1 >= 2 a_1 - 1,
+        K_a = L_a - L_{a-}  when a_1 > a_2 and max(lam_1, nu_1) >= 2 a_1 - 1,
         K_a >= L_a - L_{a-} when a_1 > a_2.
 
     Proof.  The first line is condition (I).  Let a_1 > a_2, so a- is a
@@ -184,11 +186,25 @@ def _alpha_bound(lam: Partition, nu: Partition, p: int) -> tuple[int, int]:
 
         K_a = L_a - #(T with a 1 in box (1, a_1)) >= L_a - L_{a-}.
 
-    A row 1 of T without a 1 holds at most a_1 - 1 cells (the counts above
-    with a-, summed), and row 1 of lam/a- has lam_1 - a_1 + 1 cells, so when
-    lam_1 >= 2 a_1 - 1 every T has a 1 in box (1, a_1) and equality holds.
-    This is the lemma behind ``skew.positivity_diff``, for one coefficient;
-    summed over a when lam_1 >= 2p - 1, it is the paper's theorem.
+    So equality holds when every T has a 1 in box (1, a_1), the leftmost
+    cell of its row 1, that is when row 1 of T holds a 1 at all.  By shape:
+    a row 1 of T without a 1 holds at most a_1 - 1 cells (the counts above
+    with a-, summed), and row 1 of lam/a- has lam_1 - a_1 + 1 cells, so
+    lam_1 >= 2 a_1 - 1 is enough.  This is the lemma behind
+    ``skew.positivity_diff``, for one coefficient; summed over a when
+    lam_1 >= 2p - 1, it is the paper's theorem.  By type, its twin: T holds
+    nu_1 - a_1 + 1 1's.  No cell of lam/a- lies above a 1, so a column holds
+    at most one 1, in its top cell, and columns a_1..lam_1 have their top
+    cells in row 1; so at most a_1 - 1 1's lie outside row 1, and
+    nu_1 >= 2 a_1 - 1 is enough too.
+
+    Two counts of the type rule out a Kronecker tableau of lam/a with
+    a_1 > a_2.  Condition (III) puts a_1 - a_2 2's in row 1, which has
+    lam_1 - a_1 cells, and the type has nu_2 - a_2 2's, so it needs
+    lam_1 - a_1 >= a_1 - a_2 and nu_2 >= a_1.  Condition (II) puts a 1 in
+    box (2, a_1), so lam_2 >= a_1, and then in each cell (2, a_2 + 1..a_1)
+    to its left, a_1 - a_2 of the type's nu_1 - a_1 1's.  Where neither is
+    possible, K_a = 0.
 
     The L come from s_{lam/a} = sum over mu |- n-p of c^lam_{mu a} s_mu:
     L_a = sum over mu of c^lam_{mu a} c^nu_{mu a}, and mu lies inside
@@ -213,12 +229,15 @@ def _alpha_bound(lam: Partition, nu: Partition, p: int) -> tuple[int, int]:
     and when a_1 > a_2 the last part of a' is 1 and a-' is a' without it.
     Kronecker tableaux are a-lattice SSYT, so K_a <= L_a, and an a with
     L_a = 0 adds nothing.  With L_a - L_{a-} <= K_a, an a with L_{a-} = 0
-    has K_a = L_a.  And when lam_1 - a_1 < a_1 - a_2 and lam_2 < a_1, row 1
-    of lam/a is too short for a_1 - a_2 2's and lam has no box (2, a_1),
-    so K_a = 0.  Only the a left, with a_1 > a_2, 2 a_1 - 1 > lam_1 and
-    L_{a-} > 0, walk their Kronecker tableaux of lam/a, on lam as asked,
-    which have n - p cells.  On the rows route no a is left and the bound
-    is the coefficient.
+    has K_a = L_a.  An a that the type rules out adds nothing.  Only the a
+    left, with a_1 > a_2, 2 a_1 - 1 > max(lam_1, nu_1), L_{a-} > 0 and a
+    type that allows condition (II) or (III), walk their Kronecker tableaux
+    of lam/a, on lam as asked, which have n - p cells.  On the rows route
+    no a is left and the bound is the coefficient.  Nor is one left when
+    nu_1 >= 2p - 1, and then too the bound is the coefficient: L_a is
+    symmetric in lam and nu, so the sum read is, term by term, the paper's
+    rule on nu/a with type lam/a, exact for g_{(n-p,p),nu,lam}, which is
+    g_{(n-p,p),lam,nu}.
     """
     tall = len(lam) > part(lam, 1)
     wide, wide_nu = (conjugate(lam), conjugate(nu)) if tall else (lam, nu)
@@ -237,9 +256,11 @@ def _alpha_bound(lam: Partition, nu: Partition, p: int) -> tuple[int, int]:
             bound += count
             continue
         less = lower.get(key[:-1] if tall else remove_box(key, 0), 0)
-        if not less or lam[0] >= 2 * a1 - 1:
+        if not less or max(lam[0], nu[0]) >= 2 * a1 - 1:
             bound += count - less
-        elif lam[0] - a1 >= a1 - a2 or part(lam, 2) >= a1:
+        elif (lam[0] - a1 >= a1 - a2 and part(nu, 2) >= a1) or (
+            part(lam, 2) >= a1 and nu[0] - a1 >= a1 - a2
+        ):
             alpha = conjugate(key) if tall else key
             bound += _count_fillings(lam, alpha, nu, alpha, True)
     return value, bound

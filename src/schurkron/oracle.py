@@ -135,13 +135,16 @@ def _coeff_levels(
 ) -> tuple[list[Partition], list[Partition]]:
     """The mu |- n-p and the mu |- n-p+1 inside lam & nu, for lam, nu |- n,
     each once; a single coefficient of s_nu only meets walks of lam/mu for
-    these mu, and only these two levels of ``shrink`` are listed."""
+    these mu, and only these two levels of ``shrink`` are listed.  At
+    surplus 0 the one mu is lam & nu itself, with no walk."""
     inter = intersect(lam, nu)
     surplus = sum(inter) - (sum(lam) - p)
     if surplus < 0:
         return [], []
-    levels = shrink(inter, surplus, max(surplus - 1, 0))
-    return levels[-1], levels[0] if surplus else []
+    if not surplus:
+        return [inter], []
+    levels = shrink(inter, surplus, surplus - 1)
+    return levels[1], levels[0]
 
 
 def oracle_tworow_signed_coeff(n: int, p: int, lam: Partition, nu: Partition) -> int:

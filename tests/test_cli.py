@@ -8,9 +8,9 @@ import pytest
 
 import schurkron
 from schurkron import kronecker, verify
-from schurkron.cli import main
+from schurkron.cli import MAX_SWEEP_N, main
 from schurkron.partitions import enumerate_partitions
-from schurkron.verify import WorkerCountError, worker_count
+from schurkron.verify import MAX_GRID_N, WorkerCountError, worker_count
 
 EXE = [sys.executable, "-m", "schurkron.cli"]
 # the child processes import the same schurkron as this one
@@ -403,8 +403,17 @@ FREE_8_2 = {(8,), (7, 1), (4, 4), (2, 2, 2, 2), (2, 1, 1, 1, 1, 1, 1), (1,) * 8}
         (("mfree", "--sweep", "-3", "1"), 3),
         (("mfree", "--sweep", "0", "0"), 3),
         (("mfree", "6", "2"), 2),
+        # these two failed with an OverflowError traceback (exit 1); both
+        # limits are checked before any work
+        (("verify", "--grid", "99999999999999999999", "9"), 3),
+        (("verify", "--grid", str(MAX_GRID_N + 1), "0"), 3),
+        (("mfree", "99999999999999999999", "2", "--sweep"), 3),
+        (("mfree", "--sweep", str(MAX_SWEEP_N + 1), "2"), 3),
     ],
-    ids=["rect-p2-negative", "rect-p2-negative-square", "sweep-negative-n", "sweep-zero", "mfree-no-lam"],
+    ids=[
+        "rect-p2-negative", "rect-p2-negative-square", "sweep-negative-n", "sweep-zero",
+        "mfree-no-lam", "grid-huge", "grid-past-limit", "sweep-huge", "sweep-past-limit",
+    ],
 )
 def test_refused_input_exit_code(argv, code, capsys):
     capsys.readouterr()

@@ -53,6 +53,7 @@ from schurkron import (
 from schurkron import InvariantError, clear_caches, kronecker, oracle, tableaux
 from schurkron.formulas import _direct_mfree
 from schurkron.kronecker import _alpha_bound, _route, _rule_coeff, _tableau_sum, two_row
+from schurkron.partitions import add_box, remove_box
 from schurkron.tableaux import (
     CapReached,
     _count_fillings,
@@ -451,6 +452,74 @@ class TestUpperBound:
                         assert kron_upper_bound(p, lam, nu) >= expansion[nu]
 
 
+def _type_allows(lam, alpha, nu) -> bool:
+    """Whether the type nu - alpha leaves room for condition (III) or (II)
+    of a Kronecker tableau of lam/alpha, alpha_1 > alpha_2."""
+    a1, a2 = part(alpha, 1), part(alpha, 2)
+    return (lam[0] - a1 >= a1 - a2 and part(nu, 2) >= a1) or (
+        part(lam, 2) >= a1 and nu[0] - a1 >= a1 - a2
+    )
+
+
+def _check_twin_and_type_rules(lam, alpha, nu) -> str | None:
+    """Check both of ``_alpha_bound``'s rules for one alpha with
+    alpha_1 > alpha_2 against the walks; the rule that applied, if any."""
+    kron = _count_fillings(lam, alpha, nu, alpha, True)
+    if not _type_allows(lam, alpha, nu):
+        assert kron == 0, (lam, alpha, nu)
+        return "type"
+    if nu[0] >= 2 * alpha[0] - 1:
+        minus = remove_box(alpha, 0)
+        lattice = _count_fillings(lam, alpha, nu, alpha, False)
+        assert kron == lattice - _count_fillings(lam, minus, nu, minus, False), (lam, alpha, nu)
+        return "twin"
+    return None
+
+
+def _boxed(draw, n: int, rows: int, width: int) -> tuple:
+    """A drawn partition of n <= rows * width with at most rows parts, each
+    at most width."""
+    parts = []
+    for left in range(rows, 0, -1):
+        rest = n - sum(parts)
+        parts.append(draw(st.integers(max(0, rest - width * (left - 1)), min(width, rest))))
+    return tuple(sorted((x for x in parts if x), reverse=True))
+
+
+@st.composite
+def _deep_queries(draw):
+    """(n, p, lam, nu) with n in 20..60, at most 9 rows and p in 2..6: lam
+    has parts of at most a drawn width, near a rectangle when the width is
+    near n / rows; nu is lam with up to p boxes moved, so that lam & nu has
+    at least n - p."""
+    n, p = draw(st.integers(20, 60)), draw(st.integers(2, 6))
+    rows = draw(st.one_of(st.integers(7, 9), st.integers(1, 9)))
+    low = -(-n // rows)
+    width = draw(st.one_of(st.integers(low, low + 2), st.integers(low, n)))
+    lam = nu = _boxed(draw, n, rows, width)
+    for _ in range(draw(st.integers(0, p))):
+        corners = [r for r in range(len(nu)) if part(nu, r + 2) < nu[r]]
+        nu = remove_box(nu, draw(st.sampled_from(corners)))
+        rooms = [r for r in range(min(len(nu) + 1, 9)) if r == 0 or part(nu, r + 1) < nu[r - 1]]
+        nu = add_box(nu, draw(st.sampled_from(rooms)))
+    return n, p, lam, nu
+
+
+@st.composite
+def _long_nu_queries(draw):
+    """(n, p, lam, nu) with n in 10..60, at most 9 rows, p in 3..6 and
+    nu_1 = 2p - 1 > lam_1 >= p - 1: lam off the rows route, nu lam with
+    2p - 1 - lam_1 boxes moved up into row 1."""
+    p = draw(st.integers(3, 6))
+    width = draw(st.integers(p - 1, 2 * p - 2))
+    n = draw(st.integers(max(10, 2 * p, 2 * width), min(60, 9 * width)))
+    lam = nu = (width, *_boxed(draw, n - width, 8, width))
+    for _ in range(2 * p - 1 - width):
+        corners = [r for r in range(1, len(nu)) if part(nu, r + 2) < nu[r]]
+        nu = add_box(remove_box(nu, draw(st.sampled_from(corners))), 0)
+    return n, p, lam, nu
+
+
 class TestAlphaBound:
     """``_alpha_bound`` takes most alpha of the rule's sum from the per-alpha
     lemma; ``_tableau_sum``, which walks every alpha, is the reference."""
@@ -502,10 +571,44 @@ class TestAlphaBound:
         assert _alpha_bound(lam, nu, p)[1] == _tableau_sum(lam, nu, p)
         assert kron_upper_bound(p, lam, nu) == _tableau_sum(lam, nu, p)
 
+    def test_twin_and_type_rules_small(self):
+        # every alpha inside lam & nu with a_1 > a_2, n <= 10: the twin rule
+        # (nu_1 >= 2 a_1 - 1) gives K_a = L_a - L_{a-}, and a type with room
+        # for neither condition (II) nor (III) gives K_a = 0
+        cases = {"twin": 0, "type": 0, None: 0}
+        for n in range(1, 11):
+            shapes = list(enumerate_partitions(n))
+            for lam in shapes:
+                for nu in shapes:
+                    common = intersect(lam, nu)
+                    for k in range(1, n + 1):
+                        for alpha in enumerate_partitions(k, inside=common):
+                            if part(alpha, 1) > part(alpha, 2):
+                                cases[_check_twin_and_type_rules(lam, alpha, nu)] += 1
+        assert cases["twin"] and cases["type"] and cases[None]
+
+    @settings(max_examples=150, deadline=None)
+    @given(query=_deep_queries())
+    def test_twin_and_type_rules_deep(self, query):
+        n, p, lam, nu = query
+        for k in range(1, p + 1):
+            for alpha in enumerate_partitions(k, inside=intersect(lam, nu)):
+                if part(alpha, 1) > part(alpha, 2):
+                    _check_twin_and_type_rules(lam, alpha, nu)
+
+    @settings(max_examples=150, deadline=None)
+    @given(query=_long_nu_queries())
+    def test_bound_is_the_value_when_nu_1_reaches_2p_minus_1(self, query):
+        # no alpha walks and the bound is the rule on nu, which is exact
+        n, p, lam, nu = query
+        value, bound = _alpha_bound(lam, nu, p)
+        assert value == bound == oracle_tworow_signed_coeff(n, p, lam, nu)
+
     def test_decided_hard_alphas_are_not_walked(self, fill_walks):
         # a hard alpha (a_1 > a_2, 2 a_1 - 1 > lam_1, L_a > 0) walks its
-        # Kronecker tableaux only when neither L_{a-} = 0 nor the shape
-        # (lam_1 - a_1 < a_1 - a_2 and lam_2 < a_1) decides K_a
+        # Kronecker tableaux only when neither L_{a-} = 0, nor the twin rule
+        # (nu_1 >= 2 a_1 - 1), nor the type rule decides K_a; with
+        # nu_1 >= 2p - 1 none walks and the bound is the value
         clear_caches()
         walked = hard = 0
         for n in range(1, 11):
@@ -514,9 +617,12 @@ class TestAlphaBound:
                 for lam in shapes:
                     for nu in shapes:
                         fill_walks.clear()
-                        kron_coeff(n, p, lam, nu)
+                        result = kron_coeff(n, p, lam, nu)
                         walks = [alpha for _, alpha, kron in fill_walks if kron]
                         walked += len(walks)
+                        if nu[0] >= 2 * p - 1:
+                            assert not walks and result.upper_bound == result.value, (p, lam, nu)
+                        want = []
                         for alpha in enumerate_partitions(p, inside=intersect(lam, nu)):
                             a1, a2 = part(alpha, 1), part(alpha, 2)
                             if a1 == a2 or lam[0] >= 2 * a1 - 1:
@@ -525,10 +631,14 @@ class TestAlphaBound:
                                 continue
                             hard += 1
                             minus = (a1 - 1, *alpha[1:])
-                            decided = not _count_fillings(lam, minus, nu, minus, False) or (
-                                lam[0] - a1 < a1 - a2 and part(lam, 2) < a1
+                            decided = (
+                                not _count_fillings(lam, minus, nu, minus, False)
+                                or nu[0] >= 2 * a1 - 1
+                                or not _type_allows(lam, alpha, nu)
                             )
-                            assert walks.count(alpha) == (not decided), (p, lam, nu, alpha)
+                            if not decided:
+                                want.append(alpha)
+                        assert sorted(walks) == sorted(want), (p, lam, nu)
         assert 0 < walked < hard
 
     def test_deep_conjugate_query(self):
@@ -538,16 +648,25 @@ class TestAlphaBound:
         assert kron_coeff(1200, 2, lam, nu) == KronResult(1, METHOD_CONJUGATE, 1)
         assert kron_upper_bound(2, lam, nu) == 1
 
-    def test_deep_hard_alpha_walk(self):
-        # alpha = (2, 1) is hard for lam_1 = 2, so the bound walks its
-        # Kronecker tableaux on the 1197 cells of lam/alpha
-        lam, nu = (2,) * 600, (3, 2) + (2,) * 597 + (1,)
-        result = kron_coeff(1200, 3, lam, nu)
-        assert (result.value, result.method) == (1, METHOD_CONJUGATE)
-        # the bound against the rule's own counts, each a walk of lam/alpha
-        alphas = [alpha for alpha in enumerate_partitions(3) if contains(alpha, lam)]
-        counts = sum(kronecker_tableau_count(lam, alpha, nu) for alpha in alphas)
-        assert result.upper_bound == counts == 2
+    def test_deep_hard_alpha_walk(self, fill_walks):
+        cases = [
+            # alpha = (2, 1) is hard for lam_1 = 2, but nu_1 = 3 decides it
+            ((2,) * 600, (3, 2) + (2,) * 597 + (1,), 3, []),
+            # alpha = (3, 2) is hard for lam_1 = nu_1 = 4, and nu_2 = 4 leaves
+            # room for condition (III), so the bound walks its Kronecker
+            # tableaux on the 1195 cells of lam/alpha
+            ((4,) * 300, (4,) * 300, 5, [(1195, (3, 2))]),
+        ]
+        for lam, nu, p, walked in cases:
+            clear_caches()
+            fill_walks.clear()
+            result = kron_coeff(1200, p, lam, nu)
+            assert (result.value, result.method) == (1, METHOD_CONJUGATE)
+            assert [(len(cells), alpha) for cells, alpha, kron in fill_walks if kron] == walked
+            # the bound against the rule's own counts, each a walk of lam/alpha
+            alphas = [alpha for alpha in enumerate_partitions(p) if contains(alpha, lam)]
+            counts = sum(kronecker_tableau_count(lam, alpha, nu) for alpha in alphas)
+            assert result.upper_bound == counts == 2, (lam, nu, p)
 
     def test_deep_p(self):
         # the L-table's walks have up to p = 1200 cells
@@ -734,6 +853,8 @@ class TestWalkMemo:
         assert counts["keys"] == counts["lists"] > 0
         assert counts["kept"] <= kronecker.WALK_CACHE
         assert counts["misses"] == counts["keys"]
+        # the table decides all but a few hard alpha (13 walks of 208)
+        assert 0 < counts["hard_walks"] <= 20
 
 
 # each entry point with every shape slot filled by a bad shape of size 5

@@ -56,6 +56,23 @@ def test_signed_sums_walk_at_most_p_cells(fill_walks):
                 assert max(len(cells) for cells, _, _ in fill_walks) <= p, (n, p, lam)
 
 
+def _long_walks(fill_walks, n, p, lam, nu) -> int:
+    """The walks of more than p cells that the bound and ``kron_coeff`` make
+    for one query, each checked to be a hard alpha's Kronecker walk: a_1 >
+    a_2 and 2 a_1 - 1 > max(lam_1, nu_1), on the n - p cells of lam/alpha."""
+    fill_walks.clear()
+    kron_upper_bound(p, lam, nu)
+    kron_coeff(n, p, lam, nu)
+    long_walks = 0
+    for cells, alpha, kron in fill_walks:
+        if len(cells) > p:
+            long_walks += 1
+            assert kron and len(cells) == n - p, (p, lam, nu, alpha)
+            a1 = part(alpha, 1)
+            assert a1 > part(alpha, 2) and 2 * a1 - 1 > max(lam[0], nu[0]), (p, lam, nu, alpha)
+    return long_walks
+
+
 def test_upper_bound_walks_at_most_p_cells_but_for_hard_alpha(fill_walks):
     walks = long_walks = 0
     clear_caches()  # a memoised kron_coeff would walk nothing
@@ -63,16 +80,9 @@ def test_upper_bound_walks_at_most_p_cells_but_for_hard_alpha(fill_walks):
         for p in range(0, n // 2 + 1):
             for lam in enumerate_partitions(n):
                 for nu in enumerate_partitions(n):
-                    fill_walks.clear()
-                    kron_upper_bound(p, lam, nu)
-                    kron_coeff(n, p, lam, nu)
+                    long_walks += _long_walks(fill_walks, n, p, lam, nu)
                     walks += len(fill_walks)
-                    # a hard alpha: a_1 > a_2 and 2 a_1 - 1 > lam_1, whose
-                    # Kronecker tableaux of lam/alpha have n - p cells
-                    for cells, alpha, kron in fill_walks:
-                        if len(cells) > p:
-                            long_walks += 1
-                            assert kron and len(cells) == n - p, (p, lam, nu, alpha)
-                            a1 = part(alpha, 1)
-                            assert a1 > part(alpha, 2) and 2 * a1 - 1 > lam[0], (p, lam, nu, alpha)
-    assert walks and long_walks
+    # the twin and type rules decide every hard alpha with n <= 10 that
+    # would walk more than p cells; at n = 11, alpha = (3, 2) still walks
+    assert walks and not long_walks
+    assert _long_walks(fill_walks, 11, 5, (4, 4, 3), (4, 4, 3)) == 1

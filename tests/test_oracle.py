@@ -26,7 +26,7 @@ from schurkron import (
 )
 from schurkron import kronecker, oracle
 from schurkron.kronecker import two_row
-from schurkron.partitions import part, shrink
+from schurkron.partitions import intersect, part, shrink
 
 
 class TestCycleTypes:
@@ -259,6 +259,24 @@ class TestSignedSum:
                     signed = oracle._signed(level, previous, False)
                     assert signed == oracle_tworow_signed_sum(n, p, work), (p, work)
                     previous = level
+
+    def test_coeff_levels_are_two_levels_of_shrink(self):
+        # every pair with n <= 12 and every p: the mu of sizes n - p and
+        # n - p + 1 inside lam & nu, as the full ladder of shrink lists them;
+        # at surplus 0 that is lam & nu alone, and below 0 nothing
+        for n in range(0, 13):
+            shapes = list(enumerate_partitions(n))
+            for lam in shapes:
+                for nu in shapes:
+                    inter = intersect(lam, nu)
+                    for p in range(0, n // 2 + 1):
+                        surplus = sum(inter) - (n - p)
+                        levels = shrink(inter, surplus) if surplus >= 0 else []
+                        want = (
+                            levels[surplus] if levels else [],
+                            levels[surplus - 1] if surplus > 0 else [],
+                        )
+                        assert oracle._coeff_levels(lam, nu, p) == want, (p, lam, nu)
 
     def test_deep_single_coefficients(self):
         # shapes far deeper than the recursion limit; each walk has <= p cells
